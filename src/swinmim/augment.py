@@ -52,7 +52,7 @@ class AugmentConfig:
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise ValueError(f"{name} is empty: {(lo, hi)}")
-        if not 0.5 <= self.scale_range[0] and self.scale_range[1] <= 2.0:
+        if not (0.5 <= self.scale_range[0] and self.scale_range[1] <= 2.0):
             raise ValueError(f"scale_range {self.scale_range} outside [0.5, 2.0]")
         if any(l < 3 or l % 2 == 0 for l in self.blur_lengths):
             raise ValueError("blur lengths must be odd and >= 3")

@@ -82,13 +82,23 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g):
+        """Add g into .grad; the first g is adopted without a copy.
+
+        Backward rules hand over arrays that nothing else holds, so a
+        C-contiguous, writeable g becomes .grad as is. Views that must not
+        be written through (read-only broadcasts, strided slices) are
+        copied, which also keeps every .grad C-contiguous. A rule that
+        passes one array to two inputs copies it for the second.
+        """
         g = np.asarray(g, dtype=self.data.dtype)
         if g.shape != self.data.shape:
             raise ShapeError(f"grad shape {g.shape} != tensor shape {self.data.shape}")
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
+        if self.grad is not None:
             self.grad += g
+        elif g.flags.c_contiguous and g.flags.writeable:
+            self.grad = g
+        else:
+            self.grad = g.copy()
 
     # -- operator sugar (delegates to the functional kernels) ---------------
 
@@ -117,7 +127,9 @@ class Tape:
 
     Use as a context manager around the forward pass, then call
     `backward(loss)`. Ops executed while no tape is active are not recorded
-    (inference mode).
+    (inference mode). Backward releases each record, with the arrays its
+    closure saved and its output's .grad, as soon as its rule has run, so
+    afterwards the tape is empty and only leaves keep a .grad.
     """
 
     def __init__(self):
@@ -143,21 +155,26 @@ class Tape:
         self._records.append((out, backward_fn))
 
     def backward(self, root, seed=None):
-        """Replay backward rules in reverse order, filling .grad fields.
+        """Replay backward rules in reverse order, filling leaf .grad fields.
 
         `root` is usually the scalar loss; its gradient is seeded with ones
-        (or with `seed` if given). A tape may be replayed only once.
+        (or with a copy of `seed` if given). A tape may be replayed only
+        once.
         """
         if self._used:
             raise RuntimeError("tape already replayed; record a fresh tape")
         self._used = True
         if seed is None:
             seed = np.ones_like(root.data)
+        else:
+            seed = np.array(seed, dtype=root.data.dtype)
         root.accumulate_grad(seed)
-        for out, fn in reversed(self._records):
+        records = self._records
+        while records:
+            out, fn = records.pop()
             if out.grad is not None:
                 fn(out.grad)
-        self._records = []
+                out.grad = None
 
 
 _ACTIVE_TAPE = None
@@ -200,10 +217,13 @@ def add(a, b):
     out = Tensor(_finish(a.data + b.data), requires_grad=a.requires_grad or b.requires_grad)
 
     def backward(g):
+        ga = None
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
+            ga = _unbroadcast(g, a.data.shape)
+            a.accumulate_grad(ga)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.data.shape))
+            gb = _unbroadcast(g, b.data.shape)
+            b.accumulate_grad(gb.copy() if gb is ga else gb)
 
     _record(out, backward)
     return out
@@ -296,7 +316,7 @@ def linear(x, weight, bias=None):
     x2 = x.data.reshape(-1, d_in)
     y2 = x2 @ weight.data
     if bias is not None:
-        y2 = y2 + bias.data
+        y2 += bias.data
     out_shape = x.shape[:-1] + (d_out,)
     requires = x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
     out = Tensor(_finish(y2.reshape(out_shape)), requires_grad=requires)

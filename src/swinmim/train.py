@@ -26,7 +26,7 @@ from .swin import SwinClassifier, SwinConfig
 from .tensor import Tape, Tensor, log_softmax, mul, tensor_sum
 
 # rng sub-stream tags
-_INIT, _DATA, _MASK, _AUG = 0, 1, 2, 3
+_INIT, _DATA, _MASK, _AUG, _DROP = 0, 1, 2, 3, 4
 
 CHECKPOINT_MAGIC = b"SLDB"
 CHECKPOINT_VERSION = 1
@@ -42,7 +42,9 @@ class AdamW:
 
     update: m = b1*m + (1-b1)*g ; v = b2*v + (1-b2)*g^2
             theta -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta)
-    Params whose grad is None are skipped entirely.
+    Params whose grad is None are skipped entirely. The update runs in
+    place through two scratch buffers sized to the largest param, with the
+    same float operations in the same order as the formula above.
     """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.05):
@@ -53,6 +55,8 @@ class AdamW:
         self.m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
         self.step_count = 0
+        nbytes = max((p.data.nbytes for p in self.params.values()), default=0)
+        self._scratch = (np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8))
 
     def step(self, lr):
         self.step_count += 1
@@ -64,12 +68,24 @@ class AdamW:
                 continue
             m = self.m[name]
             v = self.v[name]
+            s1, s2 = (b[:p.data.nbytes].view(p.data.dtype).reshape(p.data.shape)
+                      for b in self._scratch)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(1.0 - self.beta1, g, out=s1)
+            m += s1
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps) + self.weight_decay * p.data
-            p.data -= np.asarray(lr * update, dtype=p.data.dtype)
+            np.multiply(1.0 - self.beta2, g, out=s1)
+            s1 *= g
+            v += s1
+            np.divide(m, c1, out=s1)
+            np.divide(v, c2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += self.eps
+            s1 /= s2
+            np.multiply(self.weight_decay, p.data, out=s2)
+            s1 += s2
+            s1 *= lr
+            p.data -= s1
             p.grad = None
 
     def state_tensors(self):
@@ -526,7 +542,8 @@ def run_pretrain(run_cfg, index, out_dir, seed=0, resume=None):
                     generate_mask(model.mask_spec, img_size, mask_rng.child(j))
                     for j in range(len(batch.images))
                 ]
-                loss = pretrain_step(Tensor(batch.images), masks, model, optimizer, lr)
+                loss = pretrain_step(Tensor(batch.images), masks, model, optimizer, lr,
+                                     rng=rng.child(_DROP, step))
                 if step % run_cfg.train.log_every == 0:
                     log.write(step, float(lr), float(loss))
             if (epoch + 1) % run_cfg.train.checkpoint_every == 0 or epoch + 1 == run_cfg.schedule.epochs:
@@ -603,7 +620,8 @@ def run_finetune(run_cfg, train_index, eval_index, out_dir, seed=0,
                     ])
                 with Tape() as tape:
                     logits = model(Tensor(images), token_mask=token_mask,
-                                   mask_token=model.mask_token, training=True)
+                                   mask_token=model.mask_token, training=True,
+                                   rng=rng.child(_DROP, step))
                     loss = soft_cross_entropy(logits, labels)
                 tape.backward(loss)
                 optimizer.step(lr)

@@ -284,6 +284,11 @@ class TestHflipScale:
     def test_range_validated(self):
         with pytest.raises(ValueError):
             hflip_random_scale(np.zeros((4, 4, 3)), (0.1, 1.0), Rng(0))
+        # the config rejects what the strategy would reject during expansion
+        for bad in ((0.1, 1.0), (0.3, 3.0), (0.8, 2.5)):
+            with pytest.raises(ValueError):
+                AugmentConfig(hflip_scale=True, scale_range=bad).validate()
+        AugmentConfig(hflip_scale=True, scale_range=(0.5, 2.0)).validate()
 
 
 class TestExpandDataset:

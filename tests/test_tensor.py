@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import tiny_config
+from swinmim.mim import MaskSpec, MIMPretrainModel, generate_mask
 from swinmim.rng import Rng
 from swinmim.tensor import (
     Tape,
@@ -23,6 +25,7 @@ from swinmim.tensor import (
     gather_rows,
     select_first_axis,
     softmax,
+    sub,
     tensor_mean,
     tensor_sum,
     transpose,
@@ -225,6 +228,73 @@ class TestTape:
         y2, g2 = run()
         assert np.array_equal(y1, y2)
         assert np.array_equal(g1, g2)
+
+
+class TestTapeMemoryContract:
+    """Backward releases the tape as it runs and hands fresh arrays over
+    as grads, without letting two tensors share a grad buffer."""
+
+    def test_tape_released_and_only_leaves_keep_grad(self):
+        rng = Rng(31)
+        x = t64(rng.child(0).normal(size=(4, 3)))
+        w = t64(rng.child(1).normal(size=(4, 5)))
+        with Tape() as tape:
+            xt = transpose(x, (1, 0))
+            h = matmul(xt, w)
+            s = softmax(h, axis=-1)
+            y = tensor_sum(mul(s, s))
+        assert len(tape) == 5
+        tape.backward(y)
+        assert len(tape) == 0
+        assert all(t.grad is None for t in (xt, h, s, y))
+        assert w.grad is not None
+        # the transposed view reaching x is copied, so every .grad stays C-contiguous
+        assert x.grad.flags.c_contiguous and w.grad.flags.c_contiguous
+
+    @pytest.mark.parametrize("op", [add, sub])
+    def test_pass_through_grad_not_shared(self, op):
+        a = t64([1.0, 2.0, 3.0])
+        b = t64([4.0, 5.0, 6.0])
+        with Tape() as tape:
+            a3 = mul(a, 3.0)  # replayed last: accumulates into a after op's rule
+            y = tensor_sum(add(op(a, b), a3))
+        tape.backward(y)
+        assert not np.shares_memory(a.grad, b.grad)
+        assert np.array_equal(a.grad, [4.0, 4.0, 4.0])
+        assert np.array_equal(b.grad, [1.0 if op is add else -1.0] * 3)
+
+    def test_mim_param_grads_disjoint(self):
+        model = MIMPretrainModel(tiny_config(), Rng(32), mask_spec=MaskSpec(16, 0.5))
+        images = Tensor(Rng(33).child(0).normal(size=(2, 64, 64, 3)).astype(np.float32))
+        masks = [generate_mask(model.mask_spec, 64, Rng(34).child(j)) for j in range(2)]
+        with Tape() as tape:
+            loss = model.loss(images, masks)
+        tape.backward(loss)
+        grads = [(n, p.grad) for n, p in model.named_params() if p.grad is not None]
+        assert len(grads) == len(list(model.named_params()))
+        for i, (n1, g1) in enumerate(grads):
+            assert g1.flags.c_contiguous, n1
+            for n2, g2 in grads[i + 1:]:
+                assert not np.shares_memory(g1, g2), (n1, n2)
+
+    def test_seed_not_adopted(self):
+        x = t64([1.0, 2.0])
+        with Tape() as tape:
+            y = mul(x, 3.0)
+        seed = np.array([1.0, -1.0])
+        tape.backward(y, seed=seed)
+        assert np.array_equal(seed, [1.0, -1.0])
+        assert np.array_equal(x.grad, [3.0, -3.0])
+        assert not np.shares_memory(x.grad, seed)
+
+        leaf = t64([5.0, 6.0])
+        seed = np.array([2.0, 2.0])
+        with Tape() as tape:
+            pass
+        tape.backward(leaf, seed=seed)
+        assert not np.shares_memory(leaf.grad, seed)
+        leaf.grad += 1.0
+        assert np.array_equal(seed, [2.0, 2.0])
 
 
 class TestDebugChecks:

@@ -83,6 +83,31 @@ class TestAdamW:
         opt.step(0.1)
         assert p.numpy()[0] == 1.0
 
+    def test_in_place_step_matches_formula_bitwise(self):
+        b1, b2, eps, wd = 0.9, 0.999, 1e-8, 0.05
+        rng = Rng(41)
+        p = Tensor(rng.child(0).normal(size=(64, 48)).astype(np.float32), requires_grad=True)
+        idle = Tensor(rng.child(1).normal(size=(7,)).astype(np.float32), requires_grad=True)
+        idle_before = idle.data.copy()
+        opt = AdamW({"p": p, "idle": idle}, b1, b2, eps, wd)
+        theta = p.data.copy()
+        m = np.zeros_like(theta)
+        v = np.zeros_like(theta)
+        for t, lr in enumerate((1e-2, 5e-3, 2e-3), start=1):
+            g = rng.child(2, t).normal(size=theta.shape).astype(np.float32)
+            p.grad = g.copy()
+            opt.step(lr)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            c1, c2 = 1 - b1 ** t, 1 - b2 ** t
+            theta = theta - lr * ((m / c1) / (np.sqrt(v / c2) + eps) + wd * theta)
+            assert theta.dtype == np.float32
+            assert np.array_equal(p.data, theta)
+            assert np.array_equal(opt.m["p"], m) and np.array_equal(opt.v["p"], v)
+            assert p.grad is None
+        assert np.array_equal(idle.data, idle_before)
+        assert not opt.m["idle"].any() and not opt.v["idle"].any()
+
     def test_quadratic_convergence(self):
         theta = Tensor(np.array([1.0], np.float64), requires_grad=True)
         opt = AdamW({"theta": theta}, weight_decay=0.0)
@@ -386,6 +411,40 @@ class TestRunPretrain:
         for (n1, p1), (n2, p2) in zip(m1.named_params(), m2.named_params()):
             assert n1 == n2
             assert np.array_equal(p1.data, p2.data)
+
+
+class TestDropPath:
+    """Stochastic depth draws from a per-step stream, so both loops train
+    with it and resume exactly."""
+
+    def test_pretrain_trains_and_resumes_bitwise(self, tmp_path):
+        index = micro_dataset(tmp_path)
+        cfg = desk_config(**{"model.drop_path": 0.1})
+        straight, _ = run_pretrain(cfg, index, tmp_path / "straight", seed=4)
+        _, rows = read_tsv_log(tmp_path / "straight" / "pretrain_log.tsv")
+        assert rows and all(np.isfinite(float(r[2])) for r in rows)
+        resumed, _ = run_pretrain(cfg, index, tmp_path / "resumed", seed=4,
+                                  resume=tmp_path / "straight" / "checkpoint_e1.sldb")
+        no_drop, _ = run_pretrain(desk_config(), index, tmp_path / "no_drop", seed=4)
+        a, b = dict(straight.named_params()), dict(resumed.named_params())
+        for name in a:
+            assert np.array_equal(a[name].data, b[name].data), name
+        c = dict(no_drop.named_params())
+        assert any(not np.array_equal(a[n].data, c[n].data) for n in a)
+
+    def test_finetune_trains_and_resumes_bitwise(self, tmp_path):
+        index = micro_dataset(tmp_path, per_class=3)
+        train_idx, eval_idx = split_dataset(index, 0.7, seed=0)
+        cfg = desk_config(**{"model.drop_path": 0.1, "train.mask_in_finetune": True})
+        straight, _, _ = run_finetune(cfg, train_idx, eval_idx,
+                                      tmp_path / "straight", seed=6)
+        _, rows = read_tsv_log(tmp_path / "straight" / "metrics_log.tsv")
+        assert len(rows) == 2 and all(np.isfinite(float(r[1])) for r in rows)
+        resumed, _, _ = run_finetune(cfg, train_idx, eval_idx, tmp_path / "resumed", seed=6,
+                                     resume=tmp_path / "straight" / "checkpoint_e1.sldb")
+        a, b = dict(straight.named_params()), dict(resumed.named_params())
+        for name in a:
+            assert np.array_equal(a[name].data, b[name].data), name
 
 
 class TestRunFinetune:
