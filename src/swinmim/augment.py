@@ -238,20 +238,6 @@ def adjust_hsv(img, exposure, saturation, hue_shift):
     return out.astype(np.asarray(img).dtype)
 
 
-def color_jitter(img, factors, rng):
-    """Randomly change exposure, saturation, and hue.
-
-    factors: ((exp_lo, exp_hi), (sat_lo, sat_hi), hue_max); the value
-    factors are sampled uniformly from their ranges and the hue offset from
-    [-hue_max, hue_max].
-    """
-    (elo, ehi), (slo, shi), hue_max = factors
-    exposure = rng.uniform(elo, ehi)
-    saturation = rng.uniform(slo, shi)
-    hue = rng.uniform(-hue_max, hue_max)
-    return adjust_hsv(img, exposure, saturation, hue)
-
-
 def line_kernel_offsets(length, angle):
     """(dy, dx) taps of a normalized line kernel at the given angle."""
     if length < 3 or length % 2 == 0:
@@ -293,7 +279,7 @@ def gaussian_noise(img, sigma, rng):
 
 
 def scale_and_flip(img, flip, scale):
-    """Deterministic core of hflip_random_scale."""
+    """Mirror if flip, rescale by scale, then center-crop or zero-pad back to size."""
     img = np.asarray(img)
     if flip:
         img = img[:, ::-1]
@@ -312,16 +298,6 @@ def scale_and_flip(img, flip, scale):
     out[dst_y:dst_y + copy_h, dst_x:dst_x + copy_w] = \
         img[src_y:src_y + copy_h, src_x:src_x + copy_w]
     return np.ascontiguousarray(out)
-
-
-def hflip_random_scale(img, scale_range, rng):
-    """Mirror with probability 0.5, rescale by a sampled factor, restore size."""
-    lo, hi = scale_range
-    if not 0.5 <= lo <= hi <= 2.0:
-        raise ValueError(f"scale range {scale_range} outside [0.5, 2.0]")
-    flip = rng.coin(0.5)
-    scale = rng.uniform(lo, hi)
-    return scale_and_flip(img, flip, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -242,7 +242,7 @@ def main(argv=None):
     except (ConfigError, ValueError, FileNotFoundError, DecodeError, CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
+    except (OSError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -179,11 +179,6 @@ def patch_partition(img):
     return reshape(t, lead + (h // PATCH, w // PATCH, PATCH * PATCH * c))
 
 
-def linear_embed(patches, weight, bias):
-    """Position-wise affine map of flattened patches to the embed dim."""
-    return linear(patches, weight, bias)
-
-
 def patch_merge(x, norm_gamma, norm_beta, weight):
     """Merge 2x2 token neighborhoods: [...,H,W,C] -> [...,H/2,W/2,2C].
 

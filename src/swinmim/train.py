@@ -1,11 +1,11 @@
 """Optimization, training loops, evaluation, and checkpoint persistence.
 
 AdamW with decoupled weight decay and a cosine learning-rate schedule
-drive both phases: masked-pixel pretraining and 10-class fine-tuning
-(optionally warm-started from a pretraining checkpoint, with relative
-position bias tables resampled when the window size changed between
-phases). Checkpoints use a little-endian binary format that round-trips
-parameters bitwise, so interrupted runs resume exactly.
+drive both phases through one loop: masked-pixel pretraining and 10-class
+fine-tuning (optionally warm-started from a pretraining checkpoint, with
+relative position bias tables resampled when the window size changed
+between phases). Checkpoints use a little-endian binary format that
+round-trips parameters bitwise, so interrupted runs resume exactly.
 """
 
 import json
@@ -487,8 +487,75 @@ def read_tsv_log(path):
 # ---------------------------------------------------------------------------
 
 
-def _steps_per_epoch(count, batch_size):
-    return -(-count // batch_size)
+def _run_phase(run_cfg, model, index, out_dir, seed, resume, kind, log_name, title,
+               columns, step_fn, end_epoch=None):
+    """The epoch loop of both phases; returns the checkpoint path.
+
+    step_fn(batch, step, lr, optimizer) trains on one batch and returns its
+    loss. end_epoch(epoch, losses, log, cache) returns True to stop early.
+    The log's first column counts progress: a "step" log gets a (step, lr,
+    loss) row every train.log_every steps, an "epoch" log what end_epoch
+    writes. Resume drops the rows at or past the checkpoint before appending.
+    """
+    if len(index) == 0:
+        raise ValueError(f"{title}: the training index is empty")
+    optimizer = AdamW(dict(model.named_params()), run_cfg.optimizer.beta1,
+                      run_cfg.optimizer.beta2, run_cfg.optimizer.eps,
+                      run_cfg.optimizer.weight_decay)
+    batch_size = run_cfg.train.batch_size
+    epochs = run_cfg.schedule.epochs
+    spe = -(-len(index) // batch_size)
+    schedule = make_schedule(run_cfg.optimizer, run_cfg.schedule, epochs * spe)
+    per_step = columns[0] == "step"
+    log_path = os.path.join(out_dir, log_name)
+
+    start_epoch = 0
+    if resume is not None:
+        meta, tensors = load_checkpoint(resume)
+        restore_model_state(model, tensors)
+        optimizer.load_state_tensors(tensors, meta["optimizer_step"])
+        start_epoch = meta["progress"]["epoch"]
+        if os.path.exists(log_path):  # drop the rows at or past the checkpoint
+            limit = meta["progress"]["global_step" if per_step else "epoch"]
+            with open(log_path, encoding="utf-8") as f:
+                lines = f.readlines()
+            with open(log_path, "w", encoding="utf-8") as f:
+                f.writelines(lines[:2] + [ln for ln in lines[2:] if int(ln.split("\t")[0]) < limit])
+
+    os.makedirs(out_dir, exist_ok=True)
+    ckpt_path = os.path.join(out_dir, "checkpoint.sldb")
+    log = TsvLog(log_path, columns, title, append=resume is not None)
+    cache = ImageCache(run_cfg.model.img_size)
+    data_seed = Rng(seed).child(_DATA).derived_seed()
+    try:
+        for epoch in range(start_epoch, epochs):
+            losses = []
+            batches = make_batches(index, batch_size, data_seed, epoch,
+                                   run_cfg.model.img_size, run_cfg.data.mean,
+                                   run_cfg.data.std, cache=cache)
+            for i, batch in enumerate(batches):
+                step = epoch * spe + i
+                lr = schedule.lr_at(step)
+                loss = step_fn(batch, step, lr, optimizer)
+                if not math.isfinite(loss):
+                    raise FloatingPointError(f"{title}: loss is {loss} at step {step}")
+                losses.append(loss)
+                if per_step and step % run_cfg.train.log_every == 0:
+                    log.write(step, float(lr), float(loss))
+            stop = end_epoch is not None and end_epoch(epoch, losses, log, cache)
+            if (epoch + 1) % run_cfg.train.checkpoint_every == 0 or epoch + 1 == epochs or stop:
+                tagged = os.path.join(out_dir, f"checkpoint_e{epoch + 1}.sldb")
+                save_model_checkpoint(
+                    tagged, model, run_cfg, kind, seed,
+                    {"epoch": epoch + 1, "global_step": (epoch + 1) * spe},
+                    optimizer,
+                )
+                shutil.copyfile(tagged, ckpt_path)
+            if stop:
+                break
+    finally:
+        log.close()
+    return ckpt_path
 
 
 def run_pretrain(run_cfg, index, out_dir, seed=0, resume=None):
@@ -508,54 +575,20 @@ def run_pretrain(run_cfg, index, out_dir, seed=0, resume=None):
         run_cfg.model, rng.child(_INIT), mask_spec=run_cfg.mask.spec(seed),
         target_factor=run_cfg.mask.target_factor,
     )
-    optimizer = AdamW(dict(model.named_params()), run_cfg.optimizer.beta1,
-                      run_cfg.optimizer.beta2, run_cfg.optimizer.eps,
-                      run_cfg.optimizer.weight_decay)
-    batch_size = run_cfg.train.batch_size
-    spe = _steps_per_epoch(len(index), batch_size)
-    total_steps = run_cfg.schedule.epochs * spe
-    schedule = make_schedule(run_cfg.optimizer, run_cfg.schedule, total_steps)
 
-    start_epoch = 0
-    if resume is not None:
-        meta, tensors = load_checkpoint(resume)
-        restore_model_state(model, tensors)
-        optimizer.load_state_tensors(tensors, meta["optimizer_step"])
-        start_epoch = meta["progress"]["epoch"]
-
-    os.makedirs(out_dir, exist_ok=True)
-    ckpt_path = os.path.join(out_dir, "checkpoint.sldb")
-    log = TsvLog(os.path.join(out_dir, "pretrain_log.tsv"),
-                 ("step", "lr", "loss"), "pretrain", append=resume is not None)
-    cache = ImageCache(run_cfg.model.img_size)
     img_size = run_cfg.model.img_size
-    try:
-        for epoch in range(start_epoch, run_cfg.schedule.epochs):
-            batches = make_batches(index, batch_size, rng.child(_DATA).derived_seed(),
-                                   epoch, img_size, run_cfg.data.mean,
-                                   run_cfg.data.std, cache=cache)
-            for i, batch in enumerate(batches):
-                step = epoch * spe + i
-                lr = schedule.lr_at(step)
-                mask_rng = rng.child(_MASK, step)
-                masks = [
-                    generate_mask(model.mask_spec, img_size, mask_rng.child(j))
-                    for j in range(len(batch.images))
-                ]
-                loss = pretrain_step(Tensor(batch.images), masks, model, optimizer, lr,
-                                     rng=rng.child(_DROP, step))
-                if step % run_cfg.train.log_every == 0:
-                    log.write(step, float(lr), float(loss))
-            if (epoch + 1) % run_cfg.train.checkpoint_every == 0 or epoch + 1 == run_cfg.schedule.epochs:
-                tagged = os.path.join(out_dir, f"checkpoint_e{epoch + 1}.sldb")
-                save_model_checkpoint(
-                    tagged, model, run_cfg, "pretrain", seed,
-                    {"epoch": epoch + 1, "global_step": (epoch + 1) * spe},
-                    optimizer,
-                )
-                shutil.copyfile(tagged, ckpt_path)
-    finally:
-        log.close()
+
+    def step_fn(batch, step, lr, optimizer):
+        mask_rng = rng.child(_MASK, step)
+        masks = [
+            generate_mask(model.mask_spec, img_size, mask_rng.child(j))
+            for j in range(len(batch.images))
+        ]
+        return pretrain_step(Tensor(batch.images), masks, model, optimizer, lr,
+                             rng=rng.child(_DROP, step))
+
+    ckpt_path = _run_phase(run_cfg, model, index, out_dir, seed, resume, "pretrain",
+                           "pretrain_log.tsv", "pretrain", ("step", "lr", "loss"), step_fn)
     return model, ckpt_path
 
 
@@ -574,75 +607,40 @@ def run_finetune(run_cfg, train_index, eval_index, out_dir, seed=0,
     if init_checkpoint is not None:
         _, tensors = load_checkpoint(init_checkpoint)
         load_pretrained_encoder(model, tensors, remap_window=remap_window)
-    optimizer = AdamW(dict(model.named_params()), run_cfg.optimizer.beta1,
-                      run_cfg.optimizer.beta2, run_cfg.optimizer.eps,
-                      run_cfg.optimizer.weight_decay)
-    batch_size = run_cfg.train.batch_size
-    spe = _steps_per_epoch(len(train_index), batch_size)
-    total_steps = run_cfg.schedule.epochs * spe
-    schedule = make_schedule(run_cfg.optimizer, run_cfg.schedule, total_steps)
     mask_spec = run_cfg.mask.spec(seed) if with_token else None
-
-    start_epoch = 0
-    if resume is not None:
-        meta, tensors = load_checkpoint(resume)
-        restore_model_state(model, tensors)
-        optimizer.load_state_tensors(tensors, meta["optimizer_step"])
-        start_epoch = meta["progress"]["epoch"]
-
-    os.makedirs(out_dir, exist_ok=True)
-    ckpt_path = os.path.join(out_dir, "checkpoint.sldb")
-    log = TsvLog(os.path.join(out_dir, "metrics_log.tsv"),
-                 ("epoch", "train_loss", "accuracy", "macro_precision",
-                  "macro_recall", "macro_f1"),
-                 "finetune", append=resume is not None)
-    cache = ImageCache(run_cfg.model.img_size)
     img_size = run_cfg.model.img_size
     metrics = None
-    try:
-        for epoch in range(start_epoch, run_cfg.schedule.epochs):
-            epoch_losses = []
-            batches = make_batches(train_index, batch_size,
-                                   rng.child(_DATA).derived_seed(), epoch, img_size,
-                                   run_cfg.data.mean, run_cfg.data.std, cache=cache)
-            for i, batch in enumerate(batches):
-                step = epoch * spe + i
-                lr = schedule.lr_at(step)
-                images, labels = batch.images, batch.labels
-                images, labels, _ = mix_batch(images, labels, run_cfg.augment,
-                                              rng.child(_AUG, step))
-                token_mask = None
-                if with_token:
-                    mask_rng = rng.child(_MASK, step)
-                    token_mask = np.stack([
-                        generate_mask(mask_spec, img_size, mask_rng.child(j)).token_mask()
-                        for j in range(len(images))
-                    ])
-                with Tape() as tape:
-                    logits = model(Tensor(images), token_mask=token_mask,
-                                   mask_token=model.mask_token, training=True,
-                                   rng=rng.child(_DROP, step))
-                    loss = soft_cross_entropy(logits, labels)
-                tape.backward(loss)
-                optimizer.step(lr)
-                epoch_losses.append(loss.item())
-            metrics = evaluate(model, eval_index, run_cfg, cache=cache)
-            log.write(epoch, float(np.mean(epoch_losses)), float(metrics.accuracy),
-                      float(metrics.macro_precision), float(metrics.macro_recall),
-                      float(metrics.macro_f1))
-            hit_target = (run_cfg.train.early_stop_acc is not None
-                          and metrics.accuracy >= run_cfg.train.early_stop_acc)
-            if (epoch + 1) % run_cfg.train.checkpoint_every == 0 \
-                    or epoch + 1 == run_cfg.schedule.epochs or hit_target:
-                tagged = os.path.join(out_dir, f"checkpoint_e{epoch + 1}.sldb")
-                save_model_checkpoint(
-                    tagged, model, run_cfg, "classifier", seed,
-                    {"epoch": epoch + 1, "global_step": (epoch + 1) * spe},
-                    optimizer,
-                )
-                shutil.copyfile(tagged, ckpt_path)
-            if hit_target:
-                break
-    finally:
-        log.close()
+
+    def step_fn(batch, step, lr, optimizer):
+        images, labels, _ = mix_batch(batch.images, batch.labels, run_cfg.augment,
+                                      rng.child(_AUG, step))
+        token_mask = None
+        if with_token:
+            mask_rng = rng.child(_MASK, step)
+            token_mask = np.stack([
+                generate_mask(mask_spec, img_size, mask_rng.child(j)).token_mask()
+                for j in range(len(images))
+            ])
+        with Tape() as tape:
+            logits = model(Tensor(images), token_mask=token_mask,
+                           mask_token=model.mask_token, training=True,
+                           rng=rng.child(_DROP, step))
+            loss = soft_cross_entropy(logits, labels)
+        tape.backward(loss)
+        optimizer.step(lr)
+        return loss.item()
+
+    def end_epoch(epoch, losses, log, cache):
+        nonlocal metrics
+        metrics = evaluate(model, eval_index, run_cfg, cache=cache)
+        log.write(epoch, float(np.mean(losses)), metrics.accuracy, metrics.macro_precision,
+                  metrics.macro_recall, metrics.macro_f1)
+        return (run_cfg.train.early_stop_acc is not None
+                and metrics.accuracy >= run_cfg.train.early_stop_acc)
+
+    ckpt_path = _run_phase(run_cfg, model, train_index, out_dir, seed, resume, "classifier",
+                           "metrics_log.tsv", "finetune",
+                           ("epoch", "train_loss", "accuracy", "macro_precision",
+                            "macro_recall", "macro_f1"),
+                           step_fn, end_epoch)
     return model, metrics, ckpt_path

@@ -12,7 +12,6 @@ from swinmim.augment import (
     cutmix,
     expand_dataset,
     gaussian_noise,
-    hflip_random_scale,
     line_kernel_offsets,
     mix_batch,
     mixup,
@@ -20,6 +19,7 @@ from swinmim.augment import (
     sample_cut_box,
     sample_lambda,
     scale_and_flip,
+    _apply_offline,
 )
 from swinmim.data import build_index, load_ppm, one_hot
 from swinmim.mim import round_half_up
@@ -181,7 +181,8 @@ class TestMixBatch:
 class TestColorJitter:
     def test_identity_factors(self):
         img = Rng(17).child(0).uniform(size=(16, 16, 3)).astype(np.float32)
-        out = aug.color_jitter(img, ((1.0, 1.0), (1.0, 1.0), 0.0), Rng(18).child(0))
+        cfg = AugmentConfig(exposure_range=(1.0, 1.0), saturation_range=(1.0, 1.0), hue_max=0.0)
+        out, _ = _apply_offline("color_jitter", img, cfg, Rng(18).child(0))
         assert np.abs(out - img).max() < 1e-6
 
     def test_exposure_doubles_value(self):
@@ -198,7 +199,8 @@ class TestColorJitter:
 
     def test_range_preserved(self):
         img = Rng(19).child(0).uniform(size=(8, 8, 3))
-        out = aug.color_jitter(img, ((0.6, 1.4), (0.6, 1.4), 0.1), Rng(20).child(0))
+        cfg = AugmentConfig(exposure_range=(0.6, 1.4), saturation_range=(0.6, 1.4), hue_max=0.1)
+        out, _ = _apply_offline("color_jitter", img, cfg, Rng(20).child(0))
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
@@ -278,13 +280,12 @@ class TestHflipScale:
 
     def test_upscale_restores_extent(self):
         img = Rng(29).child(0).uniform(size=(16, 16, 3))
-        out = hflip_random_scale(img, (1.2, 1.8), Rng(30).child(0))
+        out, _ = _apply_offline("hflip_scale", img, AugmentConfig(scale_range=(1.2, 1.8)),
+                                Rng(30).child(0))
         assert out.shape == img.shape
 
     def test_range_validated(self):
-        with pytest.raises(ValueError):
-            hflip_random_scale(np.zeros((4, 4, 3)), (0.1, 1.0), Rng(0))
-        # the config rejects what the strategy would reject during expansion
+        # the config rejects scale ranges outside [0.5, 2.0] before expansion
         for bad in ((0.1, 1.0), (0.3, 3.0), (0.8, 2.5)):
             with pytest.raises(ValueError):
                 AugmentConfig(hflip_scale=True, scale_range=bad).validate()

@@ -126,6 +126,31 @@ class TestPretrainCommand:
         assert code == 2
 
 
+    def test_non_finite_loss_exit_1_keeps_last_good_checkpoint(
+            self, tiny_config_path, micro_root, tmp_path, capsys, monkeypatch):
+        import swinmim.train
+
+        original = swinmim.train.pretrain_step
+        calls = []
+
+        def nan_from_epoch_2(*args, **kwargs):
+            calls.append(1)
+            loss = original(*args, **kwargs)
+            return float("nan") if len(calls) > 3 else loss  # 3 steps per epoch
+
+        monkeypatch.setattr(swinmim.train, "pretrain_step", nan_from_epoch_2)
+        out = tmp_path / "run"
+        code = main(["pretrain", "--config", tiny_config_path, "--data", micro_root,
+                     "--out", str(out), "--override", "schedule.epochs=3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pretrain:") and "step 3" in err
+        assert "Traceback" not in err
+        assert (out / "checkpoint.sldb").read_bytes() == \
+            (out / "checkpoint_e1.sldb").read_bytes()
+        assert not (out / "checkpoint_e2.sldb").exists()
+
+
 class TestFinetuneEval:
     def test_finetune_then_eval(self, tiny_config_path, micro_root, tmp_path, capsys):
         out_dir = str(tmp_path / "ft")

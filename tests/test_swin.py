@@ -14,14 +14,22 @@ from swinmim.swin import (
     count_attention_flops,
     count_flops,
     count_params,
-    linear_embed,
     patch_merge,
     patch_partition,
     relative_position_index,
     shifted_window_mask,
     _merge_concat,
 )
-from swinmim.tensor import ShapeError, Tape, Tensor, grad_check, softmax, tensor_sum, window_partition
+from swinmim.tensor import (
+    ShapeError,
+    Tape,
+    Tensor,
+    grad_check,
+    linear,
+    softmax,
+    tensor_sum,
+    window_partition,
+)
 
 
 def t32(arr, grad=False):
@@ -61,12 +69,12 @@ class TestLinearEmbed:
         patches = t32(Rng(0).child(0).normal(size=(2, 2, 48)))
         w = t32(np.zeros((48, 5)))
         b = t32(np.full(5, 1.5))
-        out = linear_embed(patches, w, b).numpy()
+        out = linear(patches, w, b).numpy()
         assert np.allclose(out, 1.5)
 
     def test_config_shape(self):
         patches = t32(np.zeros((56, 56, 48)))
-        out = linear_embed(patches, t32(np.zeros((48, 96))), t32(np.zeros(96)))
+        out = linear(patches, t32(np.zeros((48, 96))), t32(np.zeros(96)))
         assert out.shape == (56, 56, 96)
 
     def test_weight_gradient(self):
@@ -74,7 +82,7 @@ class TestLinearEmbed:
         patches = Tensor(rng.child(0).normal(size=(2, 2, 6)), requires_grad=False)
         bias = Tensor(np.zeros(3, np.float64))
         w = Tensor(rng.child(1).normal(size=(6, 3)), requires_grad=True)
-        err = grad_check(lambda v: tensor_sum(linear_embed(patches, v, bias)), w)
+        err = grad_check(lambda v: tensor_sum(linear(patches, v, bias)), w)
         assert err < 1e-5
 
 

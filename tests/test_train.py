@@ -364,6 +364,11 @@ def micro_dataset(tmp_path, per_class=2):
     return build_index(root)
 
 
+def log_body(path):
+    """A TsvLog's lines without the timestamped '#' header."""
+    return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+
 class TestRunPretrain:
     def test_smoke_run_writes_checkpoint_and_log(self, tmp_path):
         cfg = desk_config()
@@ -403,6 +408,18 @@ class TestRunPretrain:
         assert a.keys() == b.keys()
         for name in a:
             assert np.array_equal(a[name].data, b[name].data), name
+
+    def test_resume_into_same_dir_logs_each_step_once(self, tmp_path):
+        index = micro_dataset(tmp_path)
+        cfg = desk_config(**{"train.log_every": 1})
+        run_pretrain(cfg, index, tmp_path / "run", seed=8)
+        log = tmp_path / "run" / "pretrain_log.tsv"
+        straight = log_body(log)
+        header = log.read_text().splitlines()[0]
+        run_pretrain(cfg, index, tmp_path / "run", seed=8,
+                     resume=tmp_path / "run" / "checkpoint_e1.sldb")
+        assert log_body(log) == straight
+        assert log.read_text().splitlines()[0] == header
 
     def test_same_seed_same_result(self, tmp_path):
         index = micro_dataset(tmp_path)
@@ -458,6 +475,11 @@ class TestRunFinetune:
         assert metrics.confusion.sum() == len(eval_idx)
         columns, rows = read_tsv_log(tmp_path / "ft" / "metrics_log.tsv")
         assert columns[0] == "epoch" and len(rows) == cfg.schedule.epochs
+        # one image per class leaves the 0.8 training split empty
+        one_each = build_index(write_synthetic_dataset(tmp_path / "one", per_class=1))
+        empty_train, rest = split_dataset(one_each, 0.8, seed=0)
+        with pytest.raises(ValueError, match="finetune: the training index is empty"):
+            run_finetune(cfg, empty_train, rest, tmp_path / "empty", seed=0)
 
     def test_pretrained_init_changes_only_weights_not_data_order(self, tmp_path):
         index = micro_dataset(tmp_path, per_class=3)
@@ -496,6 +518,17 @@ class TestRunFinetune:
         b = dict(resumed.named_params())
         for name in a:
             assert np.array_equal(a[name].data, b[name].data), name
+
+    def test_resume_into_same_dir_logs_each_epoch_once(self, tmp_path):
+        index = micro_dataset(tmp_path, per_class=3)
+        train_idx, eval_idx = split_dataset(index, 0.7, seed=0)
+        cfg = desk_config()
+        run_finetune(cfg, train_idx, eval_idx, tmp_path / "run", seed=4)
+        log = tmp_path / "run" / "metrics_log.tsv"
+        straight = log_body(log)
+        run_finetune(cfg, train_idx, eval_idx, tmp_path / "run", seed=4,
+                     resume=tmp_path / "run" / "checkpoint_e1.sldb")
+        assert log_body(log) == straight
 
     def test_mask_in_finetune_changes_only_masked_positions(self, tmp_path):
         cfg = desk_config()
