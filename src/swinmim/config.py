@@ -194,6 +194,11 @@ def apply_overrides(config, overrides):
     return config
 
 
+# The JSON types a field of each annotated type accepts (bool is not a number);
+# every section field is annotated with one of these.
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), tuple: (list,)}
+
+
 def _set_field(config, key, value):
     if "." in key:
         section_name, field_name = key.split(".", 1)
@@ -215,6 +220,12 @@ def _set_field(config, key, value):
             )
         section_name, field_name = matches[0], key
         section = getattr(config, section_name)
+    spec = type(section).__dataclass_fields__[field_name]
+    accepted = _JSON_TYPES[spec.type]
+    fits = isinstance(value, accepted) and (bool in accepted or not isinstance(value, bool))
+    if not fits and not (value is None and spec.default is None):
+        raise ConfigError(f"override {key!r} needs a JSON "
+                          f"{'array' if spec.type is tuple else spec.type.__name__}, got {value!r}")
     if isinstance(value, list):
         value = tuple(value)
     setattr(section, field_name, value)

@@ -8,9 +8,16 @@ participating tensor with requires_grad set.
 
 Training runs in float32; gradient verification (grad_check) runs the same
 graph in float64 against central finite differences.
+
+Large kernels hand half of their work to one helper thread (`_pair`,
+`_halves`); every element, row and GEMM is computed by the same call either
+way, so results do not depend on it.
 """
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from scipy.special import erf
@@ -197,6 +204,87 @@ def _as_tensor(x, like):
     return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
+# ---------------------------------------------------------------------------
+# the helper thread
+# ---------------------------------------------------------------------------
+
+# Work whose largest array holds fewer elements than this runs as one call on
+# the calling thread. One hand-off to the helper (submit, run a no-op under
+# the caller's errstate, wait for it) measured about 50 us on a 2-core
+# x86_64 host (Xeon, numpy 2.4.6), and the cheapest chains split here
+# (softmax, layer norm) cost about 6 ns per element, so a split pays for its
+# hand-off from about 2**14 elements. The threshold sits at the first power
+# of two above every tensor of configs/tiny.json (the largest is the MIM
+# head's 128 x 3072 weight, 393,216 elements), so desk-scale runs keep their
+# per-op cost; at 2**19 the half moved off the caller is worth about thirty
+# hand-offs.
+_SPLIT_MIN = 1 << 19
+
+# One helper thread, made on first use when this process may run on at least
+# two CPUs; False when it may not. Its tasks call only numpy and scipy, never
+# touch a Tensor, the tape or a public function of this package, and never
+# submit another task. They write their results into arrays the caller
+# allocated (disjoint slices, or a GEMM's out=): an array the helper
+# allocates comes from its own malloc arena, and one that outlived the task
+# would keep that arena's pages resident (about +5% peak RSS at pretrain-192).
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _forget_pool():
+    global _POOL
+    _POOL = None  # a forked child has no helper thread; it makes its own
+
+
+if hasattr(os, "register_at_fork"):  # absent where there is no fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _helper(size):
+    """The helper pool when work of this size is worth splitting, else None."""
+    global _POOL
+    if size < _SPLIT_MIN:
+        return None
+    if _POOL is None:
+        with _POOL_LOCK:
+            if _POOL is None:
+                cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                        else os.cpu_count() or 1)
+                _POOL = (ThreadPoolExecutor(1, thread_name_prefix="swinmim-helper")
+                         if cpus >= 2 else False)
+    return _POOL or None
+
+
+def _in_errstate(err, fn):
+    with np.errstate(**err):
+        return fn()
+
+
+def _pair(f, g, size):
+    """(f(), g()), with f on the helper thread when both are given and the
+    largest array holds at least _SPLIT_MIN elements. A task given as None
+    is skipped and yields None. The caller waits for f even when g raises."""
+    pool = _helper(size) if f is not None and g is not None else None
+    if pool is None:
+        return (None if f is None else f()), (None if g is None else g())
+    future = pool.submit(_in_errstate, np.geterr(), f)
+    try:
+        b = g()
+    except BaseException:
+        wait((future,))
+        raise
+    return future.result(), b
+
+
+def _halves(n, size, fn):
+    """fn(0, n) as fn(0, n // 2) on the helper thread and fn(n // 2, n) on
+    the caller when the work is large enough; fn writes only rows [lo, hi)."""
+    if n < 2 or _helper(size) is None:
+        fn(0, n)
+    else:
+        _pair(lambda: fn(0, n // 2), lambda: fn(n // 2, n), size)
+
+
 def _unbroadcast(g, shape):
     """Sum a broadcasted gradient back down to `shape`."""
     while g.ndim > len(shape):
@@ -270,12 +358,37 @@ def absolute(x):
 
 def gelu(x):
     """Gaussian error linear unit, exact erf form: x * Phi(x)."""
-    cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
-    out = Tensor(_finish(x.data * cdf), requires_grad=x.requires_grad)
+    xf = x.data.reshape(-1)
+    cdf = np.empty_like(xf)
+    y = np.empty_like(xf)
+
+    def forward(lo, hi):  # cdf = 0.5 * (1 + erf(x / sqrt 2)); y = x * cdf
+        c = cdf[lo:hi]
+        np.divide(xf[lo:hi], math.sqrt(2.0), out=c)
+        erf(c, out=c)
+        c += 1.0
+        c *= 0.5
+        np.multiply(xf[lo:hi], c, out=y[lo:hi])
+
+    _halves(xf.size, xf.size, forward)
+    out = Tensor(_finish(y.reshape(x.data.shape)), requires_grad=x.requires_grad)
 
     def backward(g):
-        pdf = np.exp(-0.5 * x.data * x.data) / math.sqrt(2.0 * math.pi)
-        x.accumulate_grad(g * (cdf + x.data * pdf))
+        gf = g.reshape(-1)
+        dx = np.empty_like(xf)
+
+        def grad(lo, hi):  # g * (cdf + x * exp(-x * x / 2) / sqrt(2 pi))
+            xs, t = xf[lo:hi], dx[lo:hi]
+            np.multiply(xs, -0.5, out=t)
+            t *= xs
+            np.exp(t, out=t)
+            t /= math.sqrt(2.0 * math.pi)
+            t *= xs
+            t += cdf[lo:hi]
+            t *= gf[lo:hi]
+
+        _halves(xf.size, xf.size, grad)
+        x.accumulate_grad(dx.reshape(x.data.shape))
 
     _record(out, backward)
     return out
@@ -297,12 +410,18 @@ def matmul(a, b):
     out = Tensor(_finish(np.matmul(a.data, b.data)), requires_grad=a.requires_grad or b.requires_grad)
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a.accumulate_grad(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b.accumulate_grad(_unbroadcast(gb, b.data.shape))
+        ad, bd = a.data, b.data
+        ga = None
+        if a.requires_grad:  # allocated here, filled by the helper (see _POOL)
+            ga = np.empty(g.shape[:-1] + bd.shape[-2:-1], np.result_type(g, bd))
+        _, gb = _pair(
+            None if ga is None else (lambda: np.matmul(g, np.swapaxes(bd, -1, -2), out=ga)),
+            (lambda: np.matmul(np.swapaxes(ad, -1, -2), g)) if b.requires_grad else None,
+            max(ad.size, bd.size, g.size))
+        if ga is not None:
+            a.accumulate_grad(_unbroadcast(ga, ad.shape))
+        if gb is not None:
+            b.accumulate_grad(_unbroadcast(gb, bd.shape))
 
     _record(out, backward)
     return out
@@ -323,12 +442,19 @@ def linear(x, weight, bias=None):
 
     def backward(g):
         g2 = g.reshape(-1, d_out)
-        if weight.requires_grad:
-            weight.accumulate_grad(x2.T @ g2)
+        w = weight.data
+        gw = None
+        if weight.requires_grad:  # allocated here, filled by the helper (see _POOL)
+            gw = np.empty(w.shape, np.result_type(x2, g2))
+        _, gx = _pair(None if gw is None else (lambda: np.matmul(x2.T, g2, out=gw)),
+                      (lambda: g2 @ w.T) if x.requires_grad else None,
+                      max(x2.size, g2.size, w.size))
+        if gw is not None:
+            weight.accumulate_grad(gw)
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(g2.sum(axis=0))
-        if x.requires_grad:
-            x.accumulate_grad((g2 @ weight.data.T).reshape(x.data.shape))
+        if gx is not None:
+            x.accumulate_grad(gx.reshape(x.data.shape))
 
     _record(out, backward)
     return out
@@ -369,15 +495,35 @@ def tensor_mean(x, axis=None, keepdims=False):
 
 
 def softmax(x, axis=-1):
-    """Numerically stabilized softmax; slices along `axis` sum to 1."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(_finish(s), requires_grad=x.requires_grad)
+    """Numerically stabilized softmax along the last axis; rows sum to 1."""
+    if axis not in (-1, x.ndim - 1):
+        raise ShapeError(f"softmax runs along the last axis, got axis {axis} of rank {x.ndim}")
+    d = x.shape[-1]
+    x2 = x.data.reshape(-1, d)
+    s = np.empty_like(x2)
+
+    def forward(lo, hi):  # exp(x - max) / sum(exp(x - max))
+        xs, ss = x2[lo:hi], s[lo:hi]
+        np.subtract(xs, xs.max(axis=-1, keepdims=True), out=ss)
+        np.exp(ss, out=ss)
+        ss /= ss.sum(axis=-1, keepdims=True)
+
+    _halves(len(x2), x2.size, forward)
+    out = Tensor(_finish(s.reshape(x.data.shape)), requires_grad=x.requires_grad)
 
     def backward(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        x.accumulate_grad((g - dot) * s)
+        g2 = g.reshape(-1, d)
+        dx = np.empty_like(s)
+
+        def grad(lo, hi):  # (g - sum(g * s)) * s
+            gs, ss, t = g2[lo:hi], s[lo:hi], dx[lo:hi]
+            np.multiply(gs, ss, out=t)
+            dot = t.sum(axis=-1, keepdims=True)
+            np.subtract(gs, dot, out=t)
+            t *= ss
+
+        _halves(len(s), s.size, grad)
+        x.accumulate_grad(dx.reshape(x.data.shape))
 
     _record(out, backward)
     return out
@@ -401,24 +547,48 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm affine params must have shape ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
+    x2 = x.data.reshape(-1, d)
+    xhat = np.empty_like(x2)
+    inv = np.empty((len(x2), 1), x2.dtype)
+    y = np.empty_like(x2)
+    gd, bd = gamma.data, beta.data
+
+    def forward(lo, hi):  # xhat = (x - mean) / sqrt(var + eps); y = xhat * gamma + beta
+        xs, xh, iv = x2[lo:hi], xhat[lo:hi], inv[lo:hi]
+        np.subtract(xs, xs.mean(axis=-1, keepdims=True), out=xh)
+        var = (xh * xh).mean(axis=-1, keepdims=True)
+        var += eps
+        np.sqrt(var, out=var)
+        np.divide(1.0, var, out=iv)
+        xh *= iv
+        np.multiply(xh, gd, out=y[lo:hi])
+        y[lo:hi] += bd
+
+    _halves(len(x2), x2.size, forward)
     requires = x.requires_grad or gamma.requires_grad or beta.requires_grad
-    out = Tensor(_finish(xhat * gamma.data + beta.data), requires_grad=requires)
+    out = Tensor(_finish(y.reshape(x.data.shape)), requires_grad=requires)
 
     def backward(g):
+        g2 = g.reshape(-1, d)
         if gamma.requires_grad:
-            gamma.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
+            gamma.accumulate_grad((g2 * xhat).sum(axis=0))
         if beta.requires_grad:
-            beta.accumulate_grad(g.reshape(-1, d).sum(axis=0))
+            beta.accumulate_grad(g2.sum(axis=0))
         if x.requires_grad:
-            gg = g * gamma.data
-            m1 = gg.mean(axis=-1, keepdims=True)
-            m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate_grad(inv * (gg - m1 - xhat * m2))
+            dx = np.empty_like(xhat)
+
+            def grad(lo, hi):  # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), gg = g * gamma
+                xh, t = xhat[lo:hi], dx[lo:hi]
+                gg = g2[lo:hi] * gd
+                m1 = gg.mean(axis=-1, keepdims=True)
+                m2 = (gg * xh).mean(axis=-1, keepdims=True)
+                np.multiply(xh, m2, out=t)
+                gg -= m1
+                np.subtract(gg, t, out=t)
+                t *= inv[lo:hi]
+
+            _halves(len(xhat), xhat.size, grad)
+            x.accumulate_grad(dx.reshape(x.data.shape))
 
     _record(out, backward)
     return out
@@ -452,13 +622,17 @@ def transpose(x, axes):
 
 
 def select_first_axis(x, index):
-    """x[index] along axis 0; backward scatters into a zero tensor."""
+    """x[index] along axis 0; backward adds g into that slot of x's grad.
+
+    The first split of x makes one zero grad, so q/k/v splits of one array
+    share a single buffer and 0 + g lands in each slot in backward order.
+    """
     out = Tensor(np.ascontiguousarray(x.data[index]), requires_grad=x.requires_grad)
 
     def backward(g):
-        full = np.zeros_like(x.data)
-        full[index] = g
-        x.accumulate_grad(full)
+        if x.grad is None:
+            x.grad = np.zeros(x.data.shape, x.data.dtype)
+        x.grad[index] += g
 
     _record(out, backward)
     return out

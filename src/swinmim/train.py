@@ -8,6 +8,7 @@ between phases). Checkpoints use a little-endian binary format that
 round-trips parameters bitwise, so interrupted runs resume exactly.
 """
 
+import functools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from .data import ImageCache, make_batches
 from .mim import MIMPretrainModel, generate_mask, pretrain_step
 from .rng import Rng
 from .swin import SwinClassifier, SwinConfig
-from .tensor import Tape, Tensor, log_softmax, mul, tensor_sum
+from .tensor import Tape, Tensor, _halves, log_softmax, mul, tensor_sum
 
 # rng sub-stream tags
 _INIT, _DATA, _MASK, _AUG, _DROP = 0, 1, 2, 3, 4
@@ -44,7 +45,9 @@ class AdamW:
             theta -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta)
     Params whose grad is None are skipped entirely. The update runs in
     place through two scratch buffers sized to the largest param, with the
-    same float operations in the same order as the formula above.
+    same float operations in the same order as the formula above; a large
+    param is updated as two row halves, one on the helper thread, each
+    through its own rows of the scratch.
     """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.05):
@@ -66,27 +69,33 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
-            m = self.m[name]
-            v = self.v[name]
-            s1, s2 = (b[:p.data.nbytes].view(p.data.dtype).reshape(p.data.shape)
-                      for b in self._scratch)
-            m *= self.beta1
-            np.multiply(1.0 - self.beta1, g, out=s1)
-            m += s1
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=s1)
-            s1 *= g
-            v += s1
-            np.divide(m, c1, out=s1)
-            np.divide(v, c2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += self.eps
-            s1 /= s2
-            np.multiply(self.weight_decay, p.data, out=s2)
-            s1 += s2
-            s1 *= lr
-            p.data -= s1
+            data, g, m, v = np.atleast_1d(p.data, g, self.m[name], self.v[name])
+            _halves(len(data), data.size,
+                    functools.partial(self._update, data, g, m, v, lr, c1, c2))
             p.grad = None
+
+    def _update(self, data, g, m, v, lr, c1, c2, lo, hi):
+        """The update of rows [lo, hi) of one param, with scratch rows [lo, hi)."""
+        row = data[:1].nbytes
+        s1, s2 = (b[lo * row:hi * row].view(data.dtype).reshape(data[lo:hi].shape)
+                  for b in self._scratch)
+        data, g, m, v = data[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+        m *= self.beta1
+        np.multiply(1.0 - self.beta1, g, out=s1)
+        m += s1
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, g, out=s1)
+        s1 *= g
+        v += s1
+        np.divide(m, c1, out=s1)
+        np.divide(v, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        np.multiply(self.weight_decay, data, out=s2)
+        s1 += s2
+        s1 *= lr
+        data -= s1
 
     def state_tensors(self):
         """Moment buffers as checkpoint tensors."""
@@ -536,12 +545,18 @@ def _run_phase(run_cfg, model, index, out_dir, seed, resume, kind, log_name, tit
             for i, batch in enumerate(batches):
                 step = epoch * spe + i
                 lr = schedule.lr_at(step)
-                loss = step_fn(batch, step, lr, optimizer)
+                # a diverging step is reported by the finiteness guards, not numpy
+                with np.errstate(over="ignore", invalid="ignore"):
+                    loss = step_fn(batch, step, lr, optimizer)
                 if not math.isfinite(loss):
                     raise FloatingPointError(f"{title}: loss is {loss} at step {step}")
                 losses.append(loss)
                 if per_step and step % run_cfg.train.log_every == 0:
                     log.write(step, float(lr), float(loss))
+            bad = [n for n, p in model.named_params() if not np.isfinite(p.data).all()]
+            if bad:  # the epoch's last update diverged: keep the last good checkpoint
+                raise FloatingPointError(f"{title}: {len(bad)} parameters are not finite "
+                                         f"after epoch {epoch + 1}, first {bad[0]}")
             stop = end_epoch is not None and end_epoch(epoch, losses, log, cache)
             if (epoch + 1) % run_cfg.train.checkpoint_every == 0 or epoch + 1 == epochs or stop:
                 tagged = os.path.join(out_dir, f"checkpoint_e{epoch + 1}.sldb")

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import swinmim
 
 from conftest import write_synthetic_dataset
 from swinmim.cli import main
@@ -91,6 +96,32 @@ class TestCount:
         assert int(lines["parameters"]) == 86753474
         assert abs(float(lines["gflops"]) - 15.26) <= 1.526
 
+    def test_wrongly_typed_override_exit_2(self, tiny_config_path, capsys):
+        code = main(["count", "--config", tiny_config_path,
+                     "--override", "train.batch_size=abc"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "train.batch_size" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("override", ["mask_in_finetune=1", "epochs=2.5",
+                                          "optimizer.base_lr=true", "data.mean=0.5",
+                                          "model.depths=\"2\""])
+    def test_override_type_must_fit_field(self, tiny_config_path, override, capsys):
+        assert main(["count", "--config", tiny_config_path, "--override", override]) == 2
+        assert capsys.readouterr().err.startswith("error: override")
+
+    def test_every_config_field_has_a_checked_type(self):
+        from swinmim.config import _JSON_TYPES, _SECTIONS
+        for name, cls in _SECTIONS.items():
+            for field, spec in cls.__dataclass_fields__.items():
+                assert spec.type in _JSON_TYPES, f"{name}.{field}: {spec.type}"
+
+    @pytest.mark.parametrize("override", ["optimizer.base_lr=1", "schedule.min_lr=null",
+                                          "data.mean=[0.4,0.5,0.6]", "mask_in_finetune=true"])
+    def test_fitting_override_accepted(self, tiny_config_path, override):
+        assert main(["count", "--config", tiny_config_path, "--override", override]) == 0
+
     def test_bad_config_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"model": {"depths": [3, 2, 2, 2]}}')
@@ -149,6 +180,36 @@ class TestPretrainCommand:
         assert (out / "checkpoint.sldb").read_bytes() == \
             (out / "checkpoint_e1.sldb").read_bytes()
         assert not (out / "checkpoint_e2.sldb").exists()
+
+
+    def test_diverged_update_never_checkpointed(self, tiny_config_path, tmp_path, capsys):
+        """One step per epoch, so the update that breaks the weights is an
+        epoch's last: the run stops before that epoch's checkpoint."""
+        root = write_synthetic_dataset(tmp_path / "ten", per_class=1)
+        out = tmp_path / "run"
+        code = main(["pretrain", "--config", tiny_config_path, "--data", str(root),
+                     "--out", str(out), "--override", "train.batch_size=16",
+                     "--override", "optimizer.base_lr=1e40", "--override", "schedule.epochs=3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pretrain:") and "not finite after epoch 1" in err
+        for path in out.glob("*.sldb"):
+            _, tensors = load_checkpoint(path)
+            assert all(np.isfinite(t).all() for t in tensors.values()), path
+        assert not list(out.glob("*.sldb"))
+
+    def test_diverging_run_prints_only_the_error_line(self, tiny_config_path, micro_root,
+                                                      tmp_path):
+        src = os.path.dirname(os.path.dirname(swinmim.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "swinmim.cli", "pretrain", "--config", tiny_config_path,
+             "--data", micro_root, "--out", str(tmp_path / "run"),
+             "--override", "optimizer.base_lr=1e30"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
 class TestFinetuneEval:

@@ -1,11 +1,21 @@
 import math
+import os
+import signal
+import threading
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
+import swinmim.tensor as tensor_mod
 from conftest import tiny_config
-from swinmim.mim import MaskSpec, MIMPretrainModel, generate_mask
+from swinmim.mim import MaskSpec, MIMPretrainModel, generate_mask, pretrain_step
 from swinmim.rng import Rng
+from swinmim.swin import SwinClassifier
+from swinmim.train import AdamW, soft_cross_entropy
 from swinmim.tensor import (
     Tape,
     Tensor,
@@ -295,6 +305,217 @@ class TestTapeMemoryContract:
         assert not np.shares_memory(leaf.grad, seed)
         leaf.grad += 1.0
         assert np.array_equal(seed, [2.0, 2.0])
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A one-thread helper pool that counts the tasks handed to it."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.tasks = 0
+
+    def submit(self, *args, **kwargs):
+        self.tasks += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture
+def helper_pool(monkeypatch):
+    """A helper thread even where this process may use only one CPU."""
+    pool = CountingPool()
+    monkeypatch.setattr(tensor_mod, "_POOL", pool)
+    yield pool
+    pool.shutdown()
+
+
+def paper_shaped_ops():
+    """Linear, layer_norm, gelu, matmul and softmax on arrays above the split
+    threshold, then one AdamW step. Returns (kernel bytes, reference bytes):
+    the outputs, grads, params and moments the kernels give, and the
+    outputs and grads of the same arithmetic as whole-array numpy
+    expressions."""
+    rng = Rng(51)
+
+    def leaf(i, shape):
+        return Tensor(rng.child(i).normal(size=shape).astype(np.float32), requires_grad=True)
+
+    leaves = {"x": leaf(0, (2, 784, 384)), "w": leaf(1, (384, 1536)), "b": leaf(2, (1536,)),
+              "gam": leaf(3, (1536,)), "bet": leaf(4, (1536,)),
+              "q": leaf(5, (64, 4, 49, 32)), "k": leaf(6, (64, 4, 32, 49))}
+    x, w, b, gam, bet, q, k = leaves.values()
+    probe_h = rng.child(7).normal(size=(2, 784, 1536)).astype(np.float32)
+    probe_a = rng.child(8).normal(size=(64, 4, 49, 49)).astype(np.float32)
+    with Tape() as tape:
+        lin = linear(x, w, b)
+        ln = layer_norm(lin, gam, bet)
+        h = gelu(ln)
+        scores = matmul(q, k)
+        a = softmax(scores, axis=-1)
+        loss = add(tensor_sum(mul(h, Tensor(probe_h))), tensor_sum(mul(a, Tensor(probe_a))))
+    tape.backward(loss)
+    kernel = [h.data.tobytes(), a.data.tobytes()] + [t.grad.tobytes() for t in leaves.values()]
+
+    z, y, s = lin.data, ln.data, scores.data
+    cdf = 0.5 * (1.0 + erf(y / math.sqrt(2.0)))
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    soft = e / e.sum(axis=-1, keepdims=True)
+    g_y = probe_h * (cdf + y * (np.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)))
+    centered = z - z.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = centered * inv
+    gg = g_y * gam.data
+    g_z = inv * (gg - gg.mean(axis=-1, keepdims=True)
+                 - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+    g_s = (probe_a - (probe_a * soft).sum(axis=-1, keepdims=True)) * soft
+    g2 = g_z.reshape(-1, 1536)
+    reference = [(y * cdf).tobytes(), soft.tobytes(),
+                 (g2 @ w.data.T).reshape(x.shape).tobytes(),
+                 (x.data.reshape(-1, 384).T @ g2).tobytes(), g2.sum(axis=0).tobytes(),
+                 (g_y * xhat).reshape(-1, 1536).sum(axis=0).tobytes(),
+                 g_y.reshape(-1, 1536).sum(axis=0).tobytes(),
+                 np.matmul(g_s, np.swapaxes(k.data, -1, -2)).tobytes(),
+                 np.matmul(np.swapaxes(q.data, -1, -2), g_s).tobytes()]
+
+    opt = AdamW(leaves)
+    opt.step(1e-2)
+    kernel += [t.data.tobytes() for t in leaves.values()]
+    kernel += [opt.m[n].tobytes() + opt.v[n].tobytes() for n in leaves]
+    return kernel, reference
+
+
+class TestHelperThread:
+    """Large work splits across the helper thread; results never depend on it."""
+
+    def test_paper_shaped_ops_identical_on_and_off(self, helper_pool, monkeypatch):
+        on, ref = paper_shaped_ops()
+        # linear and matmul backward, forward and backward of layer_norm, gelu and
+        # softmax, and AdamW on x and w
+        assert helper_pool.tasks >= 10
+        monkeypatch.setattr(tensor_mod, "_POOL", False)
+        off, _ = paper_shaped_ops()
+        assert on == off
+        assert on[:9] == ref
+
+    def test_adamw_halves_match_whole_update(self, helper_pool, monkeypatch):
+        rng = Rng(52)
+        shapes = {"w": (1536, 384), "t": (3, 700, 300), "b": (1536,), "s": ()}
+        init = {n: rng.child(i, 0).normal(size=sh).astype(np.float32)
+                for i, (n, sh) in enumerate(shapes.items())}
+        grads = [{n: rng.child(i, t).normal(size=sh).astype(np.float32)
+                  for i, (n, sh) in enumerate(shapes.items())} for t in (1, 2)]
+        results = []
+        for pool in (helper_pool, False):
+            monkeypatch.setattr(tensor_mod, "_POOL", pool)
+            params = {n: Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
+            opt = AdamW(params)
+            for lr, step_grads in zip((1e-2, 5e-3), grads):
+                for n, p in params.items():
+                    p.grad = step_grads[n].copy()
+                opt.step(lr)
+            results.append([params[n].data.tobytes() + opt.m[n].tobytes() + opt.v[n].tobytes()
+                            for n in shapes])
+        assert helper_pool.tasks == 4  # w and t, two steps
+        assert results[0] == results[1]
+
+    def test_tiny_model_stays_on_caller(self, monkeypatch):
+        class NoSplits:
+            def submit(self, *args, **kwargs):
+                raise AssertionError("tiny-config work was split")
+
+        monkeypatch.setattr(tensor_mod, "_POOL", NoSplits())
+        cfg = tiny_config()
+        images = Rng(53).child(0).normal(size=(8, 64, 64, 3)).astype(np.float32)
+        model = MIMPretrainModel(cfg, Rng(54), mask_spec=MaskSpec(16, 0.5))
+        masks = [generate_mask(model.mask_spec, 64, Rng(55).child(j)) for j in range(8)]
+        pretrain_step(Tensor(images), masks, model, AdamW(dict(model.named_params())), 1e-3)
+        clf = SwinClassifier(cfg, Rng(56), with_mask_token=True)
+        token_mask = np.stack([m.token_mask() for m in masks])
+        with Tape() as tape:
+            logits = clf(Tensor(images), token_mask=token_mask, mask_token=clf.mask_token,
+                         training=True)
+            loss = soft_cross_entropy(logits, np.eye(10, dtype=np.float32)[:8])
+        tape.backward(loss)
+        AdamW(dict(clf.named_params())).step(1e-3)
+
+    @pytest.mark.parametrize("raising", ["helper", "caller"])
+    def test_exception_in_either_half_propagates(self, helper_pool, raising):
+        finished = threading.Event()
+
+        def slow():
+            time.sleep(0.05)
+            finished.set()
+            return 1
+
+        def boom():
+            raise ValueError("boom")
+
+        f, g = (boom, slow) if raising == "helper" else (slow, boom)
+        with pytest.raises(ValueError, match="boom"):
+            tensor_mod._pair(f, g, tensor_mod._SPLIT_MIN)
+        assert finished.is_set()  # the caller waited for the helper first
+
+        def half(lo, hi):
+            if (lo == 0) == (raising == "helper"):
+                raise ValueError("boom")
+            slow()
+
+        finished.clear()
+        with pytest.raises(ValueError, match="boom"):
+            tensor_mod._halves(4, tensor_mod._SPLIT_MIN, half)
+        assert finished.is_set()
+
+    def test_helper_tasks_see_callers_errstate(self, helper_pool):
+        caller = threading.get_ident()
+        seen = []
+
+        def overflow():
+            seen.append((threading.get_ident(), np.geterr()["over"]))
+            return np.full(4, 3e38, np.float32) * np.float32(10.0)
+
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                tensor_mod._pair(overflow, lambda: None, tensor_mod._SPLIT_MIN)
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, _ = tensor_mod._pair(overflow, lambda: None, tensor_mod._SPLIT_MIN)
+        assert np.isinf(out).all()
+        assert [over for _, over in seen] == ["raise", "ignore"]
+        assert all(ident != caller for ident, _ in seen)
+
+    def test_small_work_runs_on_caller(self, helper_pool):
+        idents = []
+        tensor_mod._halves(8, tensor_mod._SPLIT_MIN - 1, lambda lo, hi: idents.append(
+            (threading.get_ident(), lo, hi)))
+        assert idents == [(threading.get_ident(), 0, 8)]
+        assert helper_pool.tasks == 0
+
+    def test_forked_child_makes_its_own_helper(self, helper_pool):
+        tensor_mod._pair(lambda: None, lambda: None, tensor_mod._SPLIT_MIN)  # thread started
+        pid = os.fork()
+        if pid == 0:  # child: the parent's helper thread does not exist here
+            code = 1
+            try:
+                x = Tensor(np.ones(tensor_mod._SPLIT_MIN, np.float32))
+                code = 0 if np.array_equal(gelu(x).data, gelu(x).data) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("a split op in a forked child did not finish")
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_no_helper_on_one_cpu(self, monkeypatch):
+        monkeypatch.setattr(tensor_mod, "_POOL", None)
+        monkeypatch.setattr(tensor_mod.os, "sched_getaffinity", lambda pid: {0})
+        assert tensor_mod._helper(tensor_mod._SPLIT_MIN) is None
+        assert tensor_mod._POOL is False
 
 
 class TestDebugChecks:

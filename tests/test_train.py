@@ -1,9 +1,11 @@
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import swinmim.tensor as tensor_mod
 from conftest import tiny_config, write_synthetic_dataset
 from swinmim.config import RunConfig, config_from_dict
 from swinmim.data import build_index, split_dataset
@@ -462,6 +464,42 @@ class TestDropPath:
         a, b = dict(straight.named_params()), dict(resumed.named_params())
         for name in a:
             assert np.array_equal(a[name].data, b[name].data), name
+
+
+class TestHelperThread:
+    def test_pipeline_bytes_identical_with_helper_on_and_off(self, tmp_path, monkeypatch):
+        """With the split threshold lowered so that every op splits, a tiny
+        pretrain -> warm-started fine-tune (CutMix/MixUp, masked input)
+        writes the same checkpoints and log bodies as with no helper."""
+        index = micro_dataset(tmp_path)
+        train_idx, eval_idx = split_dataset(index, 0.7, seed=0)
+        cfg = desk_config(**{"train.mask_in_finetune": True, "augment.cutmix": True,
+                             "augment.mixup": True})
+        monkeypatch.setattr(tensor_mod, "_SPLIT_MIN", 2)
+
+        def pipeline(out, pool):
+            monkeypatch.setattr(tensor_mod, "_POOL", pool)
+            run_pretrain(cfg, index, out / "pre", seed=5)
+            run_finetune(cfg, train_idx, eval_idx, out / "ft", seed=5,
+                         init_checkpoint=out / "pre" / "checkpoint.sldb")
+            files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.sldb"))}
+            logs = [log_body(out / "pre" / "pretrain_log.tsv"),
+                    log_body(out / "ft" / "metrics_log.tsv")]
+            return files, logs
+
+        tasks = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                tasks.append(1)
+                return super().submit(*args, **kwargs)
+
+        with CountingPool(1) as pool:
+            on = pipeline(tmp_path / "on", pool)
+        off = pipeline(tmp_path / "off", False)
+        assert len(tasks) > 1000
+        assert len(on[0]) == 6
+        assert on == off
 
 
 class TestRunFinetune:
