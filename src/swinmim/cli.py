@@ -88,6 +88,8 @@ def cmd_finetune(args):
 
 def cmd_eval(args):
     meta, tensors = load_checkpoint(args.checkpoint)
+    if "run_config" not in meta:
+        raise CheckpointError(f"{args.checkpoint}: no run_config in the checkpoint metadata")
     cfg = config_from_dict(meta["run_config"])
     apply_overrides(cfg, args.override)
     cfg.validate()

@@ -148,12 +148,10 @@ class RunConfig:
 
 
 def _build_section(cls, data, section_name):
-    fields = {f for f in cls.__dataclass_fields__}
-    unknown = set(data) - fields
+    unknown = set(data) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown keys in section '{section_name}': {sorted(unknown)}")
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
-    return cls(**kwargs)
+    return cls(**{k: _checked(cls, k, v, f"{section_name}.{k}") for k, v in data.items()})
 
 
 def config_from_dict(data):
@@ -199,6 +197,18 @@ def apply_overrides(config, overrides):
 _JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), tuple: (list,)}
 
 
+def _checked(cls, field_name, value, what):
+    """value for field_name of section class cls, if its JSON type fits (a
+    list becomes a tuple); else a ConfigError that starts with `what`."""
+    spec = cls.__dataclass_fields__[field_name]
+    accepted = _JSON_TYPES[spec.type]
+    fits = isinstance(value, accepted) and (bool in accepted or not isinstance(value, bool))
+    if not fits and not (value is None and spec.default is None):
+        kind = "array" if spec.type is tuple else spec.type.__name__
+        raise ConfigError(f"{what} needs a JSON {kind}, got {value!r}")
+    return tuple(value) if isinstance(value, list) else value
+
+
 def _set_field(config, key, value):
     if "." in key:
         section_name, field_name = key.split(".", 1)
@@ -220,12 +230,4 @@ def _set_field(config, key, value):
             )
         section_name, field_name = matches[0], key
         section = getattr(config, section_name)
-    spec = type(section).__dataclass_fields__[field_name]
-    accepted = _JSON_TYPES[spec.type]
-    fits = isinstance(value, accepted) and (bool in accepted or not isinstance(value, bool))
-    if not fits and not (value is None and spec.default is None):
-        raise ConfigError(f"override {key!r} needs a JSON "
-                          f"{'array' if spec.type is tuple else spec.type.__name__}, got {value!r}")
-    if isinstance(value, list):
-        value = tuple(value)
-    setattr(section, field_name, value)
+    setattr(section, field_name, _checked(type(section), field_name, value, f"override {key!r}"))

@@ -17,7 +17,8 @@ import numpy as np
 
 from .rng import Rng
 from .swin import PATCH, Linear, SwinEncoder
-from .tensor import Tensor, ShapeError, absolute, mul, reshape, tensor_sum, transpose, where_const
+from .tensor import (Tensor, ShapeError, absolute, mul, reshape, tensor_sum, where_const,
+                     window_reverse)
 
 
 class EmptyMaskError(ValueError):
@@ -134,17 +135,12 @@ class PredictionHead:
 def predict_pixels(features, head):
     """Tile per-feature pixel blocks back into a full image.
 
-    features: Tensor [B, h, w, D] (or an EncoderOutput, whose final map is
-    used) -> [B, h*r, w*r, 3] with r = head.upscale.
+    features: Tensor [B, h, w, D] -> [B, h*r, w*r, 3] with r = head.upscale.
     """
-    if hasattr(features, "final"):
-        features = features.final
     b, h, w, _ = features.shape
     r, c = head.upscale, head.out_channels
-    out = head.proj(features)  # [b, h, w, r*r*c]
-    out = reshape(out, (b, h, w, r, r, c))
-    out = transpose(out, (0, 1, 3, 2, 4, 5))
-    return reshape(out, (b, h * r, w * r, c))
+    out = head.proj(features)  # [b, h, w, r*r*c]: one r x r window per feature
+    return window_reverse(reshape(out, (b * h * w, r * r, c)), r, h * r, w * r, batch=b)
 
 
 def masked_l1_loss(pred, target, pixel_mask):

@@ -17,8 +17,6 @@ from .tensor import (
     Tensor,
     ShapeError,
     add,
-    crop_hw,
-    cyclic_shift,
     drop_path,
     gather_rows,
     gelu,
@@ -26,14 +24,14 @@ from .tensor import (
     linear,
     matmul,
     mul,
-    pad_hw,
     reshape,
     select_first_axis,
     softmax,
+    take_tokens,
     tensor_mean,
     transpose,
+    window_index,
     window_partition,
-    window_reverse,
 )
 
 PATCH = 4  # input patch edge in pixels; one token per 4x4 pixel block
@@ -166,29 +164,18 @@ def patch_partition(img):
     Accepts an optional leading batch axis. For RGB input the token dim is
     16 * 3 = 48. Values are regrouped, never changed.
     """
-    batched = img.ndim == 4
-    if not batched and img.ndim != 3:
-        raise ShapeError(f"patch_partition expects [H,W,C] or [B,H,W,C], got {img.shape}")
+    tokens = window_partition(img, PATCH)  # one window per token, row-major pixels
     h, w, c = img.shape[-3:]
-    if h % PATCH or w % PATCH:
-        raise ShapeError(f"spatial extents {h}x{w} not divisible by {PATCH}")
-    lead = img.shape[:1] if batched else ()
-    t = reshape(img, lead + (h // PATCH, PATCH, w // PATCH, PATCH, c))
-    order = (0, 1, 3, 2, 4, 5) if batched else (0, 2, 1, 3, 4)
-    t = transpose(t, order)
-    return reshape(t, lead + (h // PATCH, w // PATCH, PATCH * PATCH * c))
+    return reshape(tokens, img.shape[:-3] + (h // PATCH, w // PATCH, PATCH * PATCH * c))
 
 
 def patch_merge(x, norm_gamma, norm_beta, weight):
-    """Merge 2x2 token neighborhoods: [...,H,W,C] -> [...,H/2,W/2,2C].
+    """Merge 2x2 token neighborhoods: [B,H,W,C] -> [B,H/2,W/2,2C] (B optional).
 
     The four tokens of each neighborhood are concatenated along channels
     (row-major within the 2x2 patch, giving 4C), layer-normed, then linearly
     reduced to 2C.
     """
-    h, w, c = x.shape[-3:]
-    if h % 2 or w % 2:
-        raise ShapeError(f"patch_merge needs even extents, got {h}x{w}")
     grouped = _merge_concat(x)
     normed = layer_norm(grouped, norm_gamma, norm_beta)
     return linear(normed, weight, None)
@@ -196,12 +183,9 @@ def patch_merge(x, norm_gamma, norm_beta, weight):
 
 def _merge_concat(x):
     """The concat-to-4C half of patch merging (exposed for tests)."""
+    windows = window_partition(x, 2)  # checks the rank and the even extents
     h, w, c = x.shape[-3:]
-    lead = x.shape[:-3]
-    t = reshape(x, lead + (h // 2, 2, w // 2, 2, c))
-    n = len(lead)
-    t = transpose(t, tuple(range(n)) + (n, n + 2, n + 1, n + 3, n + 4))
-    return reshape(t, lead + (h // 2, w // 2, 4 * c))
+    return reshape(windows, x.shape[:-3] + (h // 2, w // 2, 4 * c))
 
 
 def relative_position_index(window):
@@ -222,14 +206,15 @@ def shifted_window_mask(height, width, window, shift, dtype=np.float32):
     came from; pairs with different labels get ATTN_MASK_FILL, pairs with the
     same label get 0.
     """
-    labels = np.zeros((height, width, 1), dtype=dtype)
+    labels = np.zeros((height, width), dtype=np.int64)
     cnt = 0
     spans = (slice(0, -window), slice(-window, -shift), slice(-shift, None))
     for hs in spans:
         for ws in spans:
-            labels[hs, ws, :] = cnt
+            labels[hs, ws] = cnt
             cnt += 1
-    win = window_partition(Tensor(labels), window).numpy().reshape(-1, window * window)
+    index, _ = window_index(height, width, window, 0)
+    win = labels.reshape(-1)[index].reshape(-1, window * window)
     diff = win[:, None, :] - win[:, :, None]
     return np.where(diff != 0, dtype(ATTN_MASK_FILL), dtype(0.0))
 
@@ -305,39 +290,28 @@ class SwinBlock:
         hidden = int(round(mlp_ratio * dim))
         self.fc1 = Linear(dim, hidden, rng, dtype)
         self.fc2 = Linear(hidden, dim, rng, dtype)
-        self._mask_cache = {}
+        self._layouts = {}
 
-    def _attn_mask(self, height, width, dtype):
+    def _layout(self, height, width, dtype):
+        """(index, inverse, mask) of this block's window layout of one
+        height x width map: the take_tokens maps of pad -> shift -> partition
+        and the shifted-window attention mask (None when unshifted)."""
         key = (height, width, dtype)
-        if key not in self._mask_cache:
-            self._mask_cache[key] = shifted_window_mask(
-                height, width, self.window, self.shift, np.dtype(dtype).type
-            )
-        return self._mask_cache[key]
+        if key not in self._layouts:
+            m = self.window
+            hp, wp = -(-height // m) * m, -(-width // m) * m
+            # a single window leaves nothing to shift against
+            shift = self.shift if min(hp, wp) > m else 0
+            mask = shifted_window_mask(hp, wp, m, shift, np.dtype(dtype).type) if shift else None
+            self._layouts[key] = window_index(height, width, m, shift) + (mask,)
+        return self._layouts[key]
 
     def __call__(self, x, training=False, rng=None):
         """x: [B, H, W, C] -> same shape."""
-        b, h, w, c = x.shape
-        m = self.window
-        pad_b = (m - h % m) % m
-        pad_r = (m - w % m) % m
-        hp, wp = h + pad_b, w + pad_r
-        # a single window leaves nothing to shift against
-        shift = self.shift if min(hp, wp) > m else 0
-
-        t = self.norm1(x)
-        t = pad_hw(t, pad_b, pad_r)
-        if shift:
-            t = cyclic_shift(t, -shift, -shift)
-            mask = self._attn_mask(hp, wp, x.dtype)
-        else:
-            mask = None
-        windows = window_partition(t, m)
-        windows = self.attn(windows, mask)
-        t = window_reverse(windows, m, hp, wp, batch=b)
-        if shift:
-            t = cyclic_shift(t, shift, shift)
-        t = crop_hw(t, h, w)
+        _, h, w, c = x.shape
+        index, inverse, mask = self._layout(h, w, x.dtype)
+        windows = take_tokens(self.norm1(x), index, inverse, (-1, self.window ** 2, c))
+        t = take_tokens(self.attn(windows, mask), inverse, index, x.shape)
         x = add(x, drop_path(t, self.drop_path_rate, rng, training))
 
         t = self.fc2(gelu(self.fc1(self.norm2(x))))

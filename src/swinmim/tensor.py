@@ -672,6 +672,70 @@ def where_const(mask, value, x):
     return out
 
 
+def take_tokens(x, index, inverse, shape):
+    """Gather tokens of x, viewed as [L, len(inverse), C], along the token axis.
+
+    Output token j of each of the L groups is input token index[j]; an entry
+    of -1 yields a zero row. `inverse` maps each input token to its output
+    position (-1: not gathered), so backward is the same gather of g at
+    `inverse`. Both directions are pure copies. The result has `shape`.
+    """
+    c = x.shape[-1]
+    if x.size % (len(inverse) * c):
+        raise ShapeError(f"take_tokens: {x.shape} is not a stack of {len(inverse)}-token maps")
+    out = Tensor(_take(x.data.reshape(-1, len(inverse), c), index).reshape(shape),
+                 requires_grad=x.requires_grad)
+
+    def backward(g):
+        x.accumulate_grad(_take(g.reshape(-1, len(index), c), inverse).reshape(x.data.shape))
+
+    _record(out, backward)
+    return out
+
+
+def _take(a, index):
+    """a[:, index] of an [L, N, C] array, with zero rows where index is -1."""
+    out = np.take(a, index, axis=1)
+    out[:, index < 0] = 0
+    return out
+
+
+def _token_maps(order, n_in):
+    """(index, inverse) of the gather whose output token j is input token
+    order.flat[j] (-1: a zero row), for maps of n_in input tokens."""
+    index = np.asarray(order).reshape(-1)
+    inverse = np.full(n_in, -1, index.dtype)
+    kept = np.flatnonzero(index >= 0)
+    inverse[index[kept]] = kept
+    return index, inverse
+
+
+def window_index(height, width, window, shift):
+    """(index, inverse) of the shifted-window layout of one height x width map.
+
+    The map is padded bottom/right to a multiple of `window` with zero
+    tokens, rolled by (-shift, -shift) and cut into row-major windows of
+    row-major tokens: take_tokens(x, index, inverse, (-1, M*M, C)) equals
+    window_partition(cyclic_shift(pad_hw(x, ...), -shift, -shift), M), and
+    take_tokens(windows, inverse, index, x.shape) undoes it.
+    """
+    hp, wp = -(-height // window) * window, -(-width // window) * window
+    grid = np.pad(np.arange(height * width).reshape(height, width),
+                  ((0, hp - height), (0, wp - width)), constant_values=-1)
+    grid = np.roll(grid, (-shift, -shift), axis=(0, 1))
+    grid = grid.reshape(hp // window, window, wp // window, window).transpose(0, 2, 1, 3)
+    return _token_maps(grid, height * width)
+
+
+def _regroup(x, edit):
+    """take_tokens moving the tokens of each [H, W] plane of x: [..., H, W, C]
+    as edit() moves the entries of an [H, W] array of token numbers; an entry
+    of -1 becomes a zero token."""
+    h, w = x.shape[-3], x.shape[-2]
+    grid = edit(np.arange(h * w).reshape(h, w))
+    return take_tokens(x, *_token_maps(grid, h * w), x.shape[:-3] + grid.shape + x.shape[-1:])
+
+
 def cyclic_shift(x, dy, dx):
     """Toroidal roll of the two spatial axes of [..., H, W, C].
 
@@ -680,45 +744,21 @@ def cyclic_shift(x, dy, dx):
     """
     if x.ndim < 3:
         raise ShapeError(f"cyclic_shift needs [..., H, W, C], got {x.shape}")
-    out = Tensor(np.roll(x.data, (dy, dx), axis=(-3, -2)), requires_grad=x.requires_grad)
-
-    def backward(g):
-        x.accumulate_grad(np.roll(g, (-dy, -dx), axis=(-3, -2)))
-
-    _record(out, backward)
-    return out
+    return _regroup(x, lambda p: np.roll(p, (dy, dx), axis=(0, 1)))
 
 
 def pad_hw(x, pad_bottom, pad_right):
     """Zero-pad the bottom/right of the spatial axes of [..., H, W, C]."""
     if pad_bottom == 0 and pad_right == 0:
         return x
-    pads = [(0, 0)] * x.ndim
-    pads[-3] = (0, pad_bottom)
-    pads[-2] = (0, pad_right)
-    out = Tensor(np.pad(x.data, pads), requires_grad=x.requires_grad)
-    h, w = x.shape[-3], x.shape[-2]
-
-    def backward(g):
-        x.accumulate_grad(g[..., :h, :w, :])
-
-    _record(out, backward)
-    return out
+    return _regroup(x, lambda p: np.pad(p, ((0, pad_bottom), (0, pad_right)), constant_values=-1))
 
 
 def crop_hw(x, height, width):
     """Keep the top-left height x width region of [..., H, W, C]."""
     if height == x.shape[-3] and width == x.shape[-2]:
         return x
-    out = Tensor(np.ascontiguousarray(x.data[..., :height, :width, :]), requires_grad=x.requires_grad)
-
-    def backward(g):
-        full = np.zeros_like(x.data)
-        full[..., :height, :width, :] = g
-        x.accumulate_grad(full)
-
-    _record(out, backward)
-    return out
+    return _regroup(x, lambda p: p[:height, :width])
 
 
 def window_partition(x, window):
@@ -728,36 +768,19 @@ def window_partition(x, window):
     within each window are row-major too. For batched input the output is
     [B * num_windows, M*M, C] with the batch outermost.
     """
-    if x.ndim == 3:
-        h, w, c = x.shape
-        batch = None
-    elif x.ndim == 4:
-        batch, h, w, c = x.shape
-    else:
+    if x.ndim not in (3, 4):
         raise ShapeError(f"window_partition expects rank 3 or 4, got {x.shape}")
+    h, w, c = x.shape[-3:]
     if h % window or w % window:
         raise ShapeError(f"window {window} does not divide extents {h}x{w}")
-    nh, nw = h // window, w // window
-    if batch is None:
-        t = reshape(x, (nh, window, nw, window, c))
-        t = transpose(t, (0, 2, 1, 3, 4))
-        return reshape(t, (nh * nw, window * window, c))
-    t = reshape(x, (batch, nh, window, nw, window, c))
-    t = transpose(t, (0, 1, 3, 2, 4, 5))
-    return reshape(t, (batch * nh * nw, window * window, c))
+    return take_tokens(x, *window_index(h, w, window, 0), (-1, window * window, c))
 
 
 def window_reverse(windows, window, height, width, batch=None):
     """Inverse of window_partition; bitwise round-trip."""
-    nh, nw = height // window, width // window
-    c = windows.shape[-1]
-    if batch is None:
-        t = reshape(windows, (nh, nw, window, window, c))
-        t = transpose(t, (0, 2, 1, 3, 4))
-        return reshape(t, (height, width, c))
-    t = reshape(windows, (batch, nh, nw, window, window, c))
-    t = transpose(t, (0, 1, 3, 2, 4, 5))
-    return reshape(t, (batch, height, width, c))
+    index, inverse = window_index(height, width, window, 0)
+    lead = () if batch is None else (batch,)
+    return take_tokens(windows, inverse, index, lead + (height, width, windows.shape[-1]))
 
 
 def drop_path(x, rate, rng, training):

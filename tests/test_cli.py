@@ -10,8 +10,11 @@ import swinmim
 
 from conftest import write_synthetic_dataset
 from swinmim.cli import main
+from swinmim.config import load_config
 from swinmim.data import build_index
-from swinmim.train import load_checkpoint, read_tsv_log
+from swinmim.train import load_checkpoint, read_tsv_log, save_checkpoint
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 TINY = {
@@ -110,6 +113,24 @@ class TestCount:
     def test_override_type_must_fit_field(self, tiny_config_path, override, capsys):
         assert main(["count", "--config", tiny_config_path, "--override", override]) == 2
         assert capsys.readouterr().err.startswith("error: override")
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "batch_size", "abc"), ("model", "depths", 4), ("train", "mask_in_finetune", 1),
+        ("optimizer", "base_lr", True), ("data", "mean", 0.5), ("schedule", "epochs", None)])
+    def test_file_value_type_must_fit_field(self, tmp_path, section, key, value, capsys):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(dict(TINY, **{section: {key: value}})))
+        assert main(["count", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {section}.{key} needs a JSON")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(REPO, "configs"))))
+    def test_shipped_config_loads_validates_and_counts(self, name, capsys):
+        path = os.path.join(REPO, "configs", name)
+        load_config(path).validate()
+        assert main(["count", "--config", path]) == 0
+        assert capsys.readouterr().out.startswith("parameters\t")
 
     def test_every_config_field_has_a_checked_type(self):
         from swinmim.config import _JSON_TYPES, _SECTIONS
@@ -247,6 +268,14 @@ class TestFinetuneEval:
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert any(l.startswith("accuracy 1.0000") for l in lines), lines
+
+    def test_eval_checkpoint_without_run_config_exit_2(self, micro_root, tmp_path, capsys):
+        path = str(tmp_path / "bare.sldb")
+        save_checkpoint(path, {"note": "x"}, {"w": np.zeros(3, np.float32)})
+        assert main(["eval", "--checkpoint", path, "--data", micro_root]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err and "run_config" in err
+        assert len(err.splitlines()) == 1
 
     def test_window_mismatch_without_flag_exit_2(self, micro_root, tmp_path, capsys):
         cfg_small = dict(TINY)

@@ -133,6 +133,14 @@ class TestPredictPixels:
             for bx in range(2):
                 assert np.array_equal(out[0, 2 * by:2 * by + 2, 2 * bx:2 * bx + 2], block)
 
+    def test_bytes_equal_numpy_tiling(self):
+        rng = Rng(10)
+        head = PredictionHead(8, rng, upscale=4)
+        feats = Tensor(rng.child(1).normal(size=(2, 3, 2, 8)).astype(np.float32))
+        blocks = head.proj(feats).numpy().reshape(2, 3, 2, 4, 4, 3)
+        expect = blocks.transpose(0, 1, 3, 2, 4, 5).reshape(2, 12, 8, 3)
+        assert predict_pixels(feats, head).numpy().tobytes() == expect.tobytes()
+
     def test_head_gradient(self):
         rng = Rng(9)
         head = PredictionHead(6, rng, upscale=2, dtype=np.float64)

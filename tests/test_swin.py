@@ -24,11 +24,18 @@ from swinmim.tensor import (
     ShapeError,
     Tape,
     Tensor,
+    add,
+    crop_hw,
+    cyclic_shift,
+    gelu,
     grad_check,
     linear,
+    mul,
+    pad_hw,
     softmax,
     tensor_sum,
     window_partition,
+    window_reverse,
 )
 
 
@@ -62,6 +69,17 @@ class TestPatchPartition:
     def test_indivisible(self):
         with pytest.raises(ShapeError):
             patch_partition(t32(np.zeros((6, 8, 3))))
+
+    @pytest.mark.parametrize("shape", [(8, 12, 3), (2, 16, 8, 3)])
+    def test_bytes_equal_numpy_regrouping(self, shape):
+        img = Rng(2).child(0).normal(size=shape).astype(np.float32)
+        h, w, c = shape[-3:]
+        lead = shape[:-3]
+        n = len(lead)
+        expect = img.reshape(lead + (h // 4, 4, w // 4, 4, c))
+        expect = expect.transpose(tuple(range(n)) + (n, n + 2, n + 1, n + 3, n + 4))
+        expect = expect.reshape(lead + (h // 4, w // 4, 16 * c))
+        assert patch_partition(t32(img)).numpy().tobytes() == expect.tobytes()
 
 
 class TestLinearEmbed:
@@ -100,6 +118,17 @@ class TestPatchMerge:
         assert mid.shape == (2, 2, 4)
         assert set(mid.numpy()[0, 0].ravel()) == {0.0, 1.0, 4.0, 5.0}
         assert set(mid.numpy()[1, 1].ravel()) == {10.0, 11.0, 14.0, 15.0}
+
+    @pytest.mark.parametrize("shape", [(4, 6, 5), (2, 8, 4, 3)])
+    def test_concat_bytes_equal_numpy_regrouping(self, shape):
+        x = Rng(3).child(0).normal(size=shape).astype(np.float32)
+        h, w, c = shape[-3:]
+        lead = shape[:-3]
+        n = len(lead)
+        expect = x.reshape(lead + (h // 2, 2, w // 2, 2, c))
+        expect = expect.transpose(tuple(range(n)) + (n, n + 2, n + 1, n + 3, n + 4))
+        expect = expect.reshape(lead + (h // 2, w // 2, 4 * c))
+        assert _merge_concat(t32(x)).numpy().tobytes() == expect.tobytes()
 
     def test_constant_with_averaging_weights(self):
         x = t32(np.full((4, 4, 2), 3.0))
@@ -262,6 +291,84 @@ class TestSwinBlock:
         # tokens in the same post-shift window as (0,0) but not wrapped:
         # original rows 4..5 / cols 4..5 sit in that window's main region
         assert np.allclose(out[0, 4:6, 4:6], base[0, 4:6, 4:6], atol=1e-5)
+
+
+def chain_block(block, x):
+    """SwinBlock forward through the public pad -> shift -> partition chain and
+    its mirror image, the reference for the block's cached take_tokens maps."""
+    b, h, w, _ = x.shape
+    m = block.window
+    pad_b, pad_r = -h % m, -w % m
+    hp, wp = h + pad_b, w + pad_r
+    shift = block.shift if min(hp, wp) > m else 0
+    t = pad_hw(block.norm1(x), pad_b, pad_r)
+    mask = None
+    if shift:
+        t = cyclic_shift(t, -shift, -shift)
+        mask = shifted_window_mask(hp, wp, m, shift, x.data.dtype.type)
+    t = window_reverse(block.attn(window_partition(t, m), mask), m, hp, wp, batch=b)
+    if shift:
+        t = cyclic_shift(t, shift, shift)
+    x = add(x, crop_hw(t, h, w))
+    return add(x, block.fc2(gelu(block.fc1(block.norm2(x)))))
+
+
+STRUCTURAL = {"take_tokens", "reshape", "transpose", "select_first_axis", "cyclic_shift",
+              "pad_hw", "crop_hw"}
+
+
+def structural_records(tape):
+    return sum(fn.__qualname__.split(".")[0] in STRUCTURAL for _, fn in tape._records)
+
+
+class TestSwinBlockLayout:
+    # (batch, height, width, dim, heads, window, shift): shifted stage-0 of
+    # pretrain-192, the unshifted block, tiny's padded last stage, a padded and
+    # shifted map, a single-window map that drops its shift
+    CASES = [(2, 12, 12, 12, 3, 6, 3), (2, 12, 12, 12, 3, 6, 0), (3, 2, 2, 8, 2, 4, 2),
+             (2, 10, 10, 8, 2, 4, 2), (1, 6, 6, 8, 2, 6, 3)]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bytes_equal_reference_chain(self, case):
+        b, h, w, dim, heads, window, shift = case
+        rng = Rng(30)
+        block = SwinBlock(dim, heads, window, shift, 4.0, rng.child(0))
+        x = rng.child(1).normal(size=(b, h, w, dim)).astype(np.float32)
+        probe = t32(rng.child(2).normal(size=(b, h, w, dim)))
+        results = []
+        for forward in (block, lambda v: chain_block(block, v)):
+            xt = t32(x, grad=True)
+            with Tape() as tape:
+                y = forward(xt)
+                loss = tensor_sum(mul(y, probe))
+            tape.backward(loss)
+            results.append((y.numpy().tobytes(), xt.grad.tobytes(),
+                            block.attn.qkv.weight.grad.tobytes()))
+            for _, param in block.named_params(""):
+                param.zero_grad()
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_two_structural_records(self, case):
+        b, h, w, dim, heads, window, shift = case
+        rng = Rng(31)
+        block = SwinBlock(dim, heads, window, shift, 4.0, rng.child(0))
+        x = t32(rng.child(1).normal(size=(b, h, w, dim)), grad=True)
+        with Tape() as whole:
+            block(x)
+        index, inverse, mask = block._layout(h, w, x.dtype)
+        windows = t32(np.zeros((len(index) * b // window ** 2, window ** 2, dim)), grad=True)
+        with Tape() as attention:
+            block.attn(windows, mask)
+        assert structural_records(whole) - structural_records(attention) == 2
+
+    def test_layout_cached_per_map_not_per_batch(self):
+        block = SwinBlock(8, 2, 4, 2, 4.0, Rng(32).child(0))
+        for b in (1, 3):
+            block(t32(np.ones((b, 8, 8, 8))))
+        block(t32(np.ones((1, 10, 10, 8))))
+        assert sorted(block._layouts) == [(8, 8, np.dtype(np.float32)),
+                                          (10, 10, np.dtype(np.float32))]
 
 
 class TestEncoder:

@@ -36,11 +36,13 @@ from swinmim.tensor import (
     select_first_axis,
     softmax,
     sub,
+    take_tokens,
     tensor_mean,
     tensor_sum,
     transpose,
     reshape,
     where_const,
+    window_index,
     window_partition,
     window_reverse,
 )
@@ -201,6 +203,124 @@ class TestCyclicShift:
         x = t64(Rng(6).child(1).normal(size=(5, 7, 3)), grad=False)
         back = cyclic_shift(cyclic_shift(x, 2, 3), -2, -3)
         assert np.array_equal(back.numpy(), x.numpy())
+
+
+def np_layout(x, m, shift):
+    """numpy pad -> roll(-shift) -> window partition of [..., H, W, C]."""
+    h, w, c = x.shape[-3:]
+    hp, wp = -(-h // m) * m, -(-w // m) * m
+    pads = [(0, 0)] * (x.ndim - 3) + [(0, hp - h), (0, wp - w), (0, 0)]
+    t = np.roll(np.pad(x, pads), (-shift, -shift), axis=(-3, -2))
+    t = t.reshape(-1, hp // m, m, wp // m, m, c).transpose(0, 1, 3, 2, 4, 5)
+    return t.reshape(-1, m * m, c)
+
+
+def np_unlayout(windows, m, shift, shape):
+    """numpy window reverse -> roll(+shift) -> crop back to [..., H, W, C]."""
+    h, w, c = shape[-3:]
+    hp, wp = -(-h // m) * m, -(-w // m) * m
+    t = windows.reshape(-1, hp // m, wp // m, m, m, c).transpose(0, 1, 3, 2, 4, 5)
+    t = np.roll(t.reshape(-1, hp, wp, c), (shift, shift), axis=(-3, -2))
+    return np.ascontiguousarray(t[:, :h, :w]).reshape(shape)
+
+
+def _forward_and_grad(op, x, probe):
+    """op(x) and the gradient of sum(op(x) * probe) with respect to x."""
+    x = t64(x)
+    with Tape() as tape:
+        y = op(x)
+        loss = tensor_sum(mul(y, Tensor(probe)))
+    tape.backward(loss)
+    return y.numpy(), x.grad
+
+
+LAYOUTS = [  # (input shape, window, shift)
+    ((8, 8, 3), 4, 0), ((8, 8, 3), 4, 2), ((2, 12, 8, 3), 4, 2), ((3, 2, 2, 5), 4, 0),
+    ((2, 10, 10, 2), 4, 2), ((10, 7, 2), 3, 1), ((1, 6, 6, 4), 6, 0),
+]
+
+
+class TestTakeTokens:
+    """take_tokens with window_index against numpy pad/roll/reshape/transpose."""
+
+    @pytest.mark.parametrize("shape,m,shift", LAYOUTS)
+    def test_layout_matches_numpy(self, shape, m, shift):
+        rng = Rng(21)
+        x = rng.child(0).normal(size=shape)
+        index, inverse = window_index(shape[-3], shape[-2], m, shift)
+        expect = np_layout(x, m, shift)
+        probe = rng.child(1).normal(size=expect.shape)
+        y, gx = _forward_and_grad(
+            lambda v: take_tokens(v, index, inverse, (-1, m * m, shape[-1])), x, probe)
+        assert y.tobytes() == expect.tobytes()
+        assert gx.tobytes() == np_unlayout(probe, m, shift, shape).tobytes()
+
+    @pytest.mark.parametrize("shape,m,shift", LAYOUTS)
+    def test_reverse_matches_numpy(self, shape, m, shift):
+        rng = Rng(22)
+        index, inverse = window_index(shape[-3], shape[-2], m, shift)
+        windows = rng.child(0).normal(size=np_layout(np.zeros(shape), m, shift).shape)
+        probe = rng.child(1).normal(size=shape)
+        y, gw = _forward_and_grad(lambda v: take_tokens(v, inverse, index, shape), windows, probe)
+        assert y.tobytes() == np_unlayout(windows, m, shift, shape).tobytes()
+        assert gw.tobytes() == np_layout(probe, m, shift).tobytes()
+
+    def test_padding_rows_are_positive_zero(self):
+        x = t64(-np.ones((1, 3, 3, 2)), grad=False)
+        y = take_tokens(x, *window_index(3, 3, 2, 0), (-1, 4, 2)).numpy()
+        pad = np_layout(np.ones((1, 3, 3, 2)), 2, 0) == 0
+        assert pad.sum() == 2 * 7 and (y[pad] == 0).all() and not np.signbit(y[pad]).any()
+
+    def test_one_tape_record(self):
+        x = t64(np.ones((2, 5, 5, 3)))
+        with Tape() as tape:
+            take_tokens(x, *window_index(5, 5, 2, 1), (-1, 4, 3))
+        assert len(tape) == 1
+
+    def test_token_count_checked(self):
+        with pytest.raises(ShapeError):
+            take_tokens(t64(np.ones((2, 5, 3))), *window_index(2, 2, 2, 0), (-1, 4, 3))
+
+
+class TestStructuralOpsMatchNumpy:
+    """The public structural ops are index maps on take_tokens: forward and
+    gradient equal the numpy expression and its adjoint, byte for byte."""
+
+    CASES = {  # name: (op, numpy forward, numpy adjoint of g, input shape)
+        "cyclic_shift": (lambda v: cyclic_shift(v, 2, -3),
+                         lambda a: np.roll(a, (2, -3), axis=(-3, -2)),
+                         lambda g: np.roll(g, (-2, 3), axis=(-3, -2)), (2, 5, 7, 3)),
+        "pad_hw": (lambda v: pad_hw(v, 2, 1),
+                   lambda a: np.pad(a, ((0, 0), (0, 2), (0, 1), (0, 0))),
+                   lambda g: g[:, :5, :7], (2, 5, 7, 3)),
+        "crop_hw": (lambda v: crop_hw(v, 3, 4),
+                    lambda a: a[..., :3, :4, :],
+                    lambda g: np.pad(g, ((0, 2), (0, 3), (0, 0))), (5, 7, 3)),
+        "window_partition": (lambda v: window_partition(v, 2),
+                             lambda a: a.reshape(2, 3, 2, 2, 2, 3).transpose(0, 1, 3, 2, 4, 5)
+                             .reshape(12, 4, 3),
+                             lambda g: g.reshape(2, 3, 2, 2, 2, 3).transpose(0, 1, 3, 2, 4, 5)
+                             .reshape(2, 6, 4, 3), (2, 6, 4, 3)),
+        "window_reverse": (lambda v: window_reverse(v, 2, 6, 4),
+                           lambda a: a.reshape(3, 2, 2, 2, 3).transpose(0, 2, 1, 3, 4)
+                           .reshape(6, 4, 3),
+                           lambda g: g.reshape(3, 2, 2, 2, 3).transpose(0, 2, 1, 3, 4)
+                           .reshape(6, 4, 3), (6, 4, 3)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_forward_and_gradient(self, name):
+        op, forward, adjoint, shape = self.CASES[name]
+        rng = Rng(23)
+        x = rng.child(0).normal(size=shape)
+        expect = forward(x)
+        probe = rng.child(1).normal(size=expect.shape)
+        y, gx = _forward_and_grad(op, x, probe)
+        assert y.tobytes() == np.ascontiguousarray(expect).tobytes()
+        assert gx.tobytes() == np.ascontiguousarray(adjoint(probe)).tobytes()
+        with Tape() as tape:
+            op(t64(x))
+        assert len(tape) == 1
 
 
 class TestTape:
@@ -546,6 +666,9 @@ KERNELS = {
     "window_round_trip": lambda x, aux: tensor_sum(
         mul(window_reverse(window_partition(reshape(x, (4, 4, 1)), 2), 2, 4, 4), aux["hwc"])
     ),
+    "take_tokens": lambda x, aux: tensor_sum(
+        mul(take_tokens(reshape(x, (4, 4, 1)), *window_index(4, 4, 3, 1), (-1, 9, 1)), aux["win"])
+    ),
 }
 
 
@@ -573,6 +696,7 @@ def test_kernel_grad_check(name, seed):
         "gath": t64(rng.child(14).normal(size=(4, 4)), grad=False),
         "mask": rng.child(15).uniform(size=(4, 4)) > 0.5,
         "vec": t64(rng.child(16).normal(size=(4, 4))),
+        "win": t64(rng.child(19).normal(size=(4, 9, 1)), grad=False),
     }
     if name == "linear_weight":
         x = t64(rng.child(17).normal(size=(4, 3)))
