@@ -29,15 +29,15 @@ class AugmentConfig:
     """Per-strategy enables and parameter ranges."""
 
     color_jitter: bool = False
-    exposure_range: tuple = (0.6, 1.4)
-    saturation_range: tuple = (0.6, 1.4)
+    exposure_range: tuple[float, ...] = (0.6, 1.4)
+    saturation_range: tuple[float, ...] = (0.6, 1.4)
     hue_max: float = 0.1
     motion_blur: bool = False
-    blur_lengths: tuple = (3, 5, 7, 9)
+    blur_lengths: tuple[int, ...] = (3, 5, 7, 9)
     gaussian_noise: bool = False
-    noise_sigma_range: tuple = (0.01, 0.05)
+    noise_sigma_range: tuple[float, ...] = (0.01, 0.05)
     hflip_scale: bool = False
-    scale_range: tuple = (0.8, 1.2)
+    scale_range: tuple[float, ...] = (0.8, 1.2)
     cutmix: bool = False
     mixup: bool = False
     alpha: float = 1.0

@@ -9,6 +9,7 @@ name ("mask_ratio=0.4").
 
 import json
 from dataclasses import dataclass, field
+from typing import get_args, get_origin
 
 from .augment import AugmentConfig
 from .mim import MaskSpec
@@ -77,8 +78,8 @@ class TrainConfig:
 
 @dataclass
 class DataConfig:
-    mean: tuple = (0.5, 0.5, 0.5)
-    std: tuple = (0.5, 0.5, 0.5)
+    mean: tuple[float, ...] = (0.5, 0.5, 0.5)
+    std: tuple[float, ...] = (0.5, 0.5, 0.5)
     train_fraction: float = 0.8
 
     def validate(self):
@@ -194,17 +195,25 @@ def apply_overrides(config, overrides):
 
 # The JSON types a field of each annotated type accepts (bool is not a number);
 # every section field is annotated with one of these.
-_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), tuple: (list,)}
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float),
+               tuple[int, ...]: (list,), tuple[float, ...]: (list,)}
+
+
+def _fits(value, kind):
+    """Whether a JSON value fits a field annotated `kind`: an array fits
+    tuple[T, ...] when each of its elements fits T."""
+    if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind is not bool):
+        return False
+    return get_origin(kind) is not tuple or all(_fits(v, get_args(kind)[0]) for v in value)
 
 
 def _checked(cls, field_name, value, what):
     """value for field_name of section class cls, if its JSON type fits (a
     list becomes a tuple); else a ConfigError that starts with `what`."""
     spec = cls.__dataclass_fields__[field_name]
-    accepted = _JSON_TYPES[spec.type]
-    fits = isinstance(value, accepted) and (bool in accepted or not isinstance(value, bool))
-    if not fits and not (value is None and spec.default is None):
-        kind = "array" if spec.type is tuple else spec.type.__name__
+    if not _fits(value, spec.type) and not (value is None and spec.default is None):
+        kind = (f"array of {get_args(spec.type)[0].__name__}" if get_origin(spec.type) is tuple
+                else spec.type.__name__)
         raise ConfigError(f"{what} needs a JSON {kind}, got {value!r}")
     return tuple(value) if isinstance(value, list) else value
 

@@ -49,8 +49,8 @@ class SwinConfig:
     img_size: int = 224
     in_channels: int = 3
     embed_dim: int = 96
-    depths: tuple = (2, 2, 6, 2)
-    heads: tuple = (3, 6, 12, 24)
+    depths: tuple[int, ...] = (2, 2, 6, 2)
+    heads: tuple[int, ...] = (3, 6, 12, 24)
     window_size: int = 7
     mlp_ratio: float = 4.0
     shift_size: int = None  # None -> window_size // 2

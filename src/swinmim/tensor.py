@@ -9,11 +9,13 @@ participating tensor with requires_grad set.
 Training runs in float32; gradient verification (grad_check) runs the same
 graph in float64 against central finite differences.
 
-Large kernels hand half of their work to one helper thread (`_pair`,
-`_halves`); every element, row and GEMM is computed by the same call either
-way, so results do not depend on it.
+Large kernels run as two halves (`_pair`, `_halves`), the first on one
+helper thread when this process may use two CPUs. Large work is always cut
+into the same two calls, helper or not, so every element, row and GEMM is
+computed by the same call either way and results do not depend on it.
 """
 
+import functools
 import math
 import os
 import threading
@@ -209,9 +211,13 @@ def _as_tensor(x, like):
 # ---------------------------------------------------------------------------
 
 # Work whose largest array holds fewer elements than this runs as one call on
-# the calling thread. One hand-off to the helper (submit, run a no-op under
-# the caller's errstate, wait for it) measured about 50 us on a 2-core
-# x86_64 host (Xeon, numpy 2.4.6), and the cheapest chains split here
+# the calling thread; larger work always runs as the same two calls, helper or
+# not: forward linear by row halves, a same-batch matmul by halves of its
+# leading axis (the windows), GELU / softmax / layer norm forward and backward
+# by element or row halves, AdamW by row halves, and linear and matmul
+# backward as their two GEMMs. One hand-off to the helper (submit, run a
+# no-op under the caller's errstate, wait for it) measured about 50 us on a
+# 2-core x86_64 host (Xeon, numpy 2.4.6), and the cheapest chains split here
 # (softmax, layer norm) cost about 6 ns per element, so a split pays for its
 # hand-off from about 2**14 elements. The threshold sits at the first power
 # of two above every tensor of configs/tiny.json (the largest is the MIM
@@ -277,9 +283,15 @@ def _pair(f, g, size):
 
 
 def _halves(n, size, fn):
-    """fn(0, n) as fn(0, n // 2) on the helper thread and fn(n // 2, n) on
-    the caller when the work is large enough; fn writes only rows [lo, hi)."""
-    if n < 2 or _helper(size) is None:
+    """fn(0, n) for work below _SPLIT_MIN; from there on always the two calls
+    fn(0, n // 2) and fn(n // 2, n), the first on the helper thread when there
+    is one. fn writes only rows [lo, hi).
+
+    The cut depends only on n and size, never on the helper, so a GEMM cut by
+    rows makes the same BLAS calls with the helper on and off. (A BLAS may
+    block a GEMM differently by its row count, so one call over all rows and
+    two calls over halves need not give the same bytes.)"""
+    if n < 2 or size < _SPLIT_MIN:
         fn(0, n)
     else:
         _pair(lambda: fn(0, n // 2), lambda: fn(n // 2, n), size)
@@ -407,10 +419,16 @@ def matmul(a, b):
         raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
     if a.data.dtype != b.data.dtype:
         raise ShapeError(f"matmul dtypes differ: {a.data.dtype} vs {b.data.dtype}")
-    out = Tensor(_finish(np.matmul(a.data, b.data)), requires_grad=a.requires_grad or b.requires_grad)
+    ad, bd = a.data, b.data
+    if ad.ndim >= 3 and ad.shape[:-2] == bd.shape[:-2]:  # numpy runs one GEMM per slice
+        y = np.empty(ad.shape[:-1] + bd.shape[-1:], ad.dtype)
+        _halves(len(ad), max(ad.size, bd.size, y.size),
+                lambda lo, hi: np.matmul(ad[lo:hi], bd[lo:hi], out=y[lo:hi]))
+    else:
+        y = np.matmul(ad, bd)
+    out = Tensor(_finish(y), requires_grad=a.requires_grad or b.requires_grad)
 
     def backward(g):
-        ad, bd = a.data, b.data
         ga = None
         if a.requires_grad:  # allocated here, filled by the helper (see _POOL)
             ga = np.empty(g.shape[:-1] + bd.shape[-2:-1], np.result_type(g, bd))
@@ -432,8 +450,10 @@ def linear(x, weight, bias=None):
     d_in, d_out = weight.shape
     if x.shape[-1] != d_in:
         raise ShapeError(f"linear: input dim {x.shape[-1]} != weight rows {d_in}")
-    x2 = x.data.reshape(-1, d_in)
-    y2 = x2 @ weight.data
+    x2, w = x.data.reshape(-1, d_in), weight.data
+    y2 = np.empty((len(x2), d_out), np.result_type(x2, w))
+    _halves(len(x2), max(x2.size, y2.size, w.size),
+            lambda lo, hi: np.matmul(x2[lo:hi], w, out=y2[lo:hi]))
     if bias is not None:
         y2 += bias.data
     out_shape = x.shape[:-1] + (d_out,)
@@ -442,7 +462,6 @@ def linear(x, weight, bias=None):
 
     def backward(g):
         g2 = g.reshape(-1, d_out)
-        w = weight.data
         gw = None
         if weight.requires_grad:  # allocated here, filled by the helper (see _POOL)
             gw = np.empty(w.shape, np.result_type(x2, g2))
@@ -710,6 +729,7 @@ def _token_maps(order, n_in):
     return index, inverse
 
 
+@functools.lru_cache(maxsize=64)
 def window_index(height, width, window, shift):
     """(index, inverse) of the shifted-window layout of one height x width map.
 
@@ -717,14 +737,18 @@ def window_index(height, width, window, shift):
     tokens, rolled by (-shift, -shift) and cut into row-major windows of
     row-major tokens: take_tokens(x, index, inverse, (-1, M*M, C)) equals
     window_partition(cyclic_shift(pad_hw(x, ...), -shift, -shift), M), and
-    take_tokens(windows, inverse, index, x.shape) undoes it.
+    take_tokens(windows, inverse, index, x.shape) undoes it. The maps are
+    built once per argument tuple and shared, so they are read-only.
     """
     hp, wp = -(-height // window) * window, -(-width // window) * window
     grid = np.pad(np.arange(height * width).reshape(height, width),
                   ((0, hp - height), (0, wp - width)), constant_values=-1)
     grid = np.roll(grid, (-shift, -shift), axis=(0, 1))
     grid = grid.reshape(hp // window, window, wp // window, window).transpose(0, 2, 1, 3)
-    return _token_maps(grid, height * width)
+    maps = _token_maps(grid, height * width)
+    for m in maps:
+        m.flags.writeable = False
+    return maps
 
 
 def _regroup(x, edit):

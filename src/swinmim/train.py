@@ -46,8 +46,8 @@ class AdamW:
     Params whose grad is None are skipped entirely. The update runs in
     place through two scratch buffers sized to the largest param, with the
     same float operations in the same order as the formula above; a large
-    param is updated as two row halves, one on the helper thread, each
-    through its own rows of the scratch.
+    param is updated as two row halves, the first on the helper thread when
+    there is one, each through its own rows of the scratch.
     """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.05):

@@ -109,14 +109,17 @@ class TestCount:
 
     @pytest.mark.parametrize("override", ["mask_in_finetune=1", "epochs=2.5",
                                           "optimizer.base_lr=true", "data.mean=0.5",
-                                          "model.depths=\"2\""])
+                                          "model.depths=\"2\"", 'data.mean=["a","b","c"]'])
     def test_override_type_must_fit_field(self, tiny_config_path, override, capsys):
         assert main(["count", "--config", tiny_config_path, "--override", override]) == 2
         assert capsys.readouterr().err.startswith("error: override")
 
     @pytest.mark.parametrize("section,key,value", [
         ("train", "batch_size", "abc"), ("model", "depths", 4), ("train", "mask_in_finetune", 1),
-        ("optimizer", "base_lr", True), ("data", "mean", 0.5), ("schedule", "epochs", None)])
+        ("optimizer", "base_lr", True), ("data", "mean", 0.5), ("schedule", "epochs", None),
+        ("model", "depths", [[2], 2, 2, 2]), ("augment", "blur_lengths", ["a"]),
+        ("data", "mean", ["a", "b", "c"]), ("data", "std", [0.5, True, 0.5]),
+        ("model", "heads", [2, 2.5, 4, 4])])
     def test_file_value_type_must_fit_field(self, tmp_path, section, key, value, capsys):
         path = tmp_path / "typed.json"
         path.write_text(json.dumps(dict(TINY, **{section: {key: value}})))

@@ -281,6 +281,13 @@ class TestTakeTokens:
         with pytest.raises(ShapeError):
             take_tokens(t64(np.ones((2, 5, 3))), *window_index(2, 2, 2, 0), (-1, 4, 3))
 
+    def test_window_index_cached_and_read_only(self):
+        maps = window_index(10, 10, 4, 2)
+        assert all(a is b for a, b in zip(maps, window_index(10, 10, 4, 2)))
+        for m in maps:
+            with pytest.raises(ValueError, match="read-only"):
+                m[0] = 0
+
 
 class TestStructuralOpsMatchNumpy:
     """The public structural ops are index maps on take_tokens: forward and
@@ -452,8 +459,8 @@ def paper_shaped_ops():
     """Linear, layer_norm, gelu, matmul and softmax on arrays above the split
     threshold, then one AdamW step. Returns (kernel bytes, reference bytes):
     the outputs, grads, params and moments the kernels give, and the
-    outputs and grads of the same arithmetic as whole-array numpy
-    expressions."""
+    outputs and grads of the same arithmetic as numpy expressions: linear as
+    two GEMMs over row halves, everything else over whole arrays."""
     rng = Rng(51)
 
     def leaf(i, shape):
@@ -473,7 +480,8 @@ def paper_shaped_ops():
         a = softmax(scores, axis=-1)
         loss = add(tensor_sum(mul(h, Tensor(probe_h))), tensor_sum(mul(a, Tensor(probe_a))))
     tape.backward(loss)
-    kernel = [h.data.tobytes(), a.data.tobytes()] + [t.grad.tobytes() for t in leaves.values()]
+    kernel = [lin.data.tobytes(), scores.data.tobytes(), h.data.tobytes(), a.data.tobytes()]
+    kernel += [t.grad.tobytes() for t in leaves.values()]
 
     z, y, s = lin.data, ln.data, scores.data
     cdf = 0.5 * (1.0 + erf(y / math.sqrt(2.0)))
@@ -488,9 +496,12 @@ def paper_shaped_ops():
                  - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
     g_s = (probe_a - (probe_a * soft).sum(axis=-1, keepdims=True)) * soft
     g2 = g_z.reshape(-1, 1536)
-    reference = [(y * cdf).tobytes(), soft.tobytes(),
+    x2 = x.data.reshape(-1, 384)
+    halves = np.concatenate([x2[:784] @ w.data, x2[784:] @ w.data])
+    reference = [(halves + b.data).reshape(z.shape).tobytes(), np.matmul(q.data, k.data).tobytes(),
+                 (y * cdf).tobytes(), soft.tobytes(),
                  (g2 @ w.data.T).reshape(x.shape).tobytes(),
-                 (x.data.reshape(-1, 384).T @ g2).tobytes(), g2.sum(axis=0).tobytes(),
+                 (x2.T @ g2).tobytes(), g2.sum(axis=0).tobytes(),
                  (g_y * xhat).reshape(-1, 1536).sum(axis=0).tobytes(),
                  g_y.reshape(-1, 1536).sum(axis=0).tobytes(),
                  np.matmul(g_s, np.swapaxes(k.data, -1, -2)).tobytes(),
@@ -508,13 +519,24 @@ class TestHelperThread:
 
     def test_paper_shaped_ops_identical_on_and_off(self, helper_pool, monkeypatch):
         on, ref = paper_shaped_ops()
-        # linear and matmul backward, forward and backward of layer_norm, gelu and
-        # softmax, and AdamW on x and w
-        assert helper_pool.tasks >= 10
+        # forward and backward of linear, matmul, layer_norm, gelu and softmax,
+        # and AdamW on x and w
+        assert helper_pool.tasks >= 12
         monkeypatch.setattr(tensor_mod, "_POOL", False)
         off, _ = paper_shaped_ops()
         assert on == off
-        assert on[:9] == ref
+        assert on[:11] == ref
+
+    def test_halves_cut_does_not_depend_on_helper(self, helper_pool, monkeypatch):
+        cuts = []
+        for pool in (helper_pool, False):
+            monkeypatch.setattr(tensor_mod, "_POOL", pool)
+            for size in (tensor_mod._SPLIT_MIN, tensor_mod._SPLIT_MIN - 1):
+                calls = []
+                tensor_mod._halves(7, size, lambda lo, hi: calls.append((lo, hi)))
+                cuts.append(sorted(calls))
+        assert cuts == [[(0, 3), (3, 7)], [(0, 7)]] * 2
+        assert helper_pool.tasks == 1
 
     def test_adamw_halves_match_whole_update(self, helper_pool, monkeypatch):
         rng = Rng(52)
