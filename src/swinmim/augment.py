@@ -65,24 +65,6 @@ class AugmentConfig:
     def enabled_offline(self):
         return [name for name in self.OFFLINE if getattr(self, name)]
 
-    def to_dict(self):
-        return {
-            "color_jitter": self.color_jitter,
-            "exposure_range": list(self.exposure_range),
-            "saturation_range": list(self.saturation_range),
-            "hue_max": self.hue_max,
-            "motion_blur": self.motion_blur,
-            "blur_lengths": list(self.blur_lengths),
-            "gaussian_noise": self.gaussian_noise,
-            "noise_sigma_range": list(self.noise_sigma_range),
-            "hflip_scale": self.hflip_scale,
-            "scale_range": list(self.scale_range),
-            "cutmix": self.cutmix,
-            "mixup": self.mixup,
-            "alpha": self.alpha,
-            "copies": self.copies,
-        }
-
 
 def assert_soft_label(label, atol=1e-6):
     label = np.asarray(label)
@@ -249,12 +231,8 @@ def line_kernel_offsets(length, angle):
     return sorted(set(zip(dy.tolist(), dx.tolist())))
 
 
-def motion_blur(img, length=None, angle=None, rng=None):
+def motion_blur(img, length, angle):
     """Convolve with a normalized line kernel; borders replicate edges."""
-    if length is None:
-        length = int(rng.integers(0, 4)) * 2 + 3  # one of 3, 5, 7, 9
-    if angle is None:
-        angle = rng.uniform(0.0, math.pi)
     offsets = line_kernel_offsets(length, angle)
     weight = 1.0 / len(offsets)
     pad = max(max(abs(dy), abs(dx)) for dy, dx in offsets)

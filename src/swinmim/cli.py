@@ -39,10 +39,20 @@ def _common_args(p, data=True, out=True):
                    help="config override, e.g. mask.mask_ratio=0.4 (repeatable)")
 
 
-def _load_run_config(args):
-    cfg = load_config(args.config)
+def _load_run_config(args, data=None):
+    """The run config of args.config, or of the dict `data` when given, with
+    args.override applied; validated."""
+    cfg = load_config(args.config) if data is None else config_from_dict(data)
     apply_overrides(cfg, args.override)
     return cfg.validate()
+
+
+def _load_index(root):
+    """The dataset index of root; FileNotFoundError when it holds no image."""
+    index = build_index(root)
+    if len(index) == 0:
+        raise FileNotFoundError(f"no .ppm images under {root}")
+    return index
 
 
 def _print_metrics(metrics):
@@ -60,9 +70,7 @@ def _print_metrics(metrics):
 
 def cmd_pretrain(args):
     cfg = _load_run_config(args)
-    index = build_index(args.data)
-    if len(index) == 0:
-        raise FileNotFoundError(f"no .ppm images under {args.data}")
+    index = _load_index(args.data)
     _, ckpt = run_pretrain(cfg, index, args.out, seed=args.seed, resume=args.resume)
     print(f"pretrain done: checkpoint at {ckpt}")
     return 0
@@ -70,9 +78,7 @@ def cmd_pretrain(args):
 
 def cmd_finetune(args):
     cfg = _load_run_config(args)
-    index = build_index(args.data)
-    if len(index) == 0:
-        raise FileNotFoundError(f"no .ppm images under {args.data}")
+    index = _load_index(args.data)
     train_idx, eval_idx = split_dataset(index, cfg.data.train_fraction, args.seed)
     os.makedirs(args.out, exist_ok=True)
     write_split_manifest(os.path.join(args.out, "split.tsv"), train_idx, eval_idx)
@@ -90,15 +96,11 @@ def cmd_eval(args):
     meta, tensors = load_checkpoint(args.checkpoint)
     if "run_config" not in meta:
         raise CheckpointError(f"{args.checkpoint}: no run_config in the checkpoint metadata")
-    cfg = config_from_dict(meta["run_config"])
-    apply_overrides(cfg, args.override)
-    cfg.validate()
+    cfg = _load_run_config(args, meta["run_config"])
     model = SwinClassifier(cfg.model, Rng(args.seed).child(0),
                            with_mask_token="mask_token" in tensors)
     restore_model_state(model, tensors)
-    index = build_index(args.data)
-    if len(index) == 0:
-        raise FileNotFoundError(f"no .ppm images under {args.data}")
+    index = _load_index(args.data)
     metrics = evaluate(model, index, cfg)
     _print_metrics(metrics)
     return 0
@@ -106,9 +108,7 @@ def cmd_eval(args):
 
 def cmd_mask_sweep(args):
     cfg = _load_run_config(args)
-    index = build_index(args.data)
-    if len(index) == 0:
-        raise FileNotFoundError(f"no .ppm images under {args.data}")
+    index = _load_index(args.data)
     train_idx, eval_idx = split_dataset(index, cfg.data.train_fraction, args.seed)
     patches = [int(v) for v in args.patch_sizes.split(",")]
     ratios = [float(v) for v in args.ratios.split(",")]
@@ -152,9 +152,7 @@ def cmd_count(args):
         return 0
     if args.config is None:
         raise ConfigError("provide --config or --kind")
-    cfg = load_config(args.config)
-    apply_overrides(cfg, args.override)
-    cfg.validate()
+    cfg = _load_run_config(args)
     model_cfg = cfg.model
     params = count_params(model_cfg)
     flops = count_flops(model_cfg)

@@ -8,7 +8,7 @@ name ("mask_ratio=0.4").
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin
 
 from .augment import AugmentConfig
@@ -33,10 +33,6 @@ class OptimConfig:
             raise ConfigError("weight_decay must be >= 0")
         return self
 
-    def to_dict(self):
-        return dict(base_lr=self.base_lr, beta1=self.beta1, beta2=self.beta2,
-                    eps=self.eps, weight_decay=self.weight_decay)
-
 
 @dataclass
 class ScheduleConfig:
@@ -50,9 +46,6 @@ class ScheduleConfig:
         if self.min_lr is not None and self.min_lr < 0:
             raise ConfigError("min_lr must be >= 0")
         return self
-
-    def to_dict(self):
-        return dict(epochs=self.epochs, warmup_steps=self.warmup_steps, min_lr=self.min_lr)
 
 
 @dataclass
@@ -70,11 +63,6 @@ class TrainConfig:
             raise ConfigError("early_stop_acc must lie in (0, 1]")
         return self
 
-    def to_dict(self):
-        return dict(batch_size=self.batch_size, mask_in_finetune=self.mask_in_finetune,
-                    early_stop_acc=self.early_stop_acc, checkpoint_every=self.checkpoint_every,
-                    log_every=self.log_every)
-
 
 @dataclass
 class DataConfig:
@@ -88,10 +76,6 @@ class DataConfig:
         if not 0 < self.train_fraction < 1:
             raise ConfigError("train_fraction must lie in (0, 1)")
         return self
-
-    def to_dict(self):
-        return dict(mean=list(self.mean), std=list(self.std),
-                    train_fraction=self.train_fraction)
 
 
 @dataclass
@@ -108,21 +92,6 @@ class MaskConfig:
 
     def spec(self, seed=0):
         return MaskSpec(self.mask_patch_size, self.mask_ratio, seed)
-
-    def to_dict(self):
-        return dict(mask_patch_size=self.mask_patch_size, mask_ratio=self.mask_ratio,
-                    target_factor=self.target_factor)
-
-
-_SECTIONS = {
-    "model": SwinConfig,
-    "mask": MaskConfig,
-    "augment": AugmentConfig,
-    "optimizer": OptimConfig,
-    "schedule": ScheduleConfig,
-    "train": TrainConfig,
-    "data": DataConfig,
-}
 
 
 @dataclass
@@ -145,7 +114,19 @@ class RunConfig:
         return self
 
     def to_dict(self):
-        return {name: getattr(self, name).to_dict() for name in _SECTIONS}
+        return _to_json(self)
+
+
+# section name -> section class, in declaration (and validation) order
+_SECTIONS = {f.name: f.type for f in fields(RunConfig)}
+
+
+def _to_json(value):
+    """A config dataclass as a JSON-ready dict of its fields in declaration
+    order, sections included; tuples become lists."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _build_section(cls, data, section_name):

@@ -79,6 +79,8 @@ def load_ppm(path):
     width, height, maxval = fields
     if maxval != 255:
         raise DecodeError(path, pos - len(str(maxval)), f"maxval {maxval} unsupported, need 255")
+    if width == 0 or height == 0:
+        raise DecodeError(path, pos, f"empty image: {width}x{height}")
     pos += 1  # single whitespace byte separates header from raster
     need = width * height * 3
     raster = buf[pos:pos + need]

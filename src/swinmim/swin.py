@@ -7,6 +7,7 @@ Includes closed-form parameter and FLOP counters for the whole model and
 for single attention modules.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -105,20 +106,6 @@ class SwinConfig:
             raise ConfigError("drop_path must lie in [0, 1)")
         return self
 
-    def to_dict(self):
-        return {
-            "img_size": self.img_size,
-            "in_channels": self.in_channels,
-            "embed_dim": self.embed_dim,
-            "depths": list(self.depths),
-            "heads": list(self.heads),
-            "window_size": self.window_size,
-            "mlp_ratio": self.mlp_ratio,
-            "shift_size": self.shift_size,
-            "num_classes": self.num_classes,
-            "drop_path": self.drop_path,
-        }
-
 
 # ---------------------------------------------------------------------------
 # parameter containers
@@ -197,6 +184,7 @@ def relative_position_index(window):
     return (rel[0] * (2 * window - 1) + rel[1]).astype(np.int64)
 
 
+@functools.lru_cache(maxsize=64)
 def shifted_window_mask(height, width, window, shift, dtype=np.float32):
     """Additive attention mask for shifted windows, [num_windows, M*M, M*M].
 
@@ -204,7 +192,8 @@ def shifted_window_mask(height, width, window, shift, dtype=np.float32):
     far side of the map land next to tokens they are not spatially adjacent
     to. Each window position is labeled with the contiguous source region it
     came from; pairs with different labels get ATTN_MASK_FILL, pairs with the
-    same label get 0.
+    same label get 0. The mask is built once per argument tuple and shared,
+    so it is read-only.
     """
     labels = np.zeros((height, width), dtype=np.int64)
     cnt = 0
@@ -216,7 +205,9 @@ def shifted_window_mask(height, width, window, shift, dtype=np.float32):
     index, _ = window_index(height, width, window, 0)
     win = labels.reshape(-1)[index].reshape(-1, window * window)
     diff = win[:, None, :] - win[:, :, None]
-    return np.where(diff != 0, dtype(ATTN_MASK_FILL), dtype(0.0))
+    mask = np.where(diff != 0, dtype(ATTN_MASK_FILL), dtype(0.0))
+    mask.flags.writeable = False
+    return mask
 
 
 class WindowAttention:
@@ -290,21 +281,17 @@ class SwinBlock:
         hidden = int(round(mlp_ratio * dim))
         self.fc1 = Linear(dim, hidden, rng, dtype)
         self.fc2 = Linear(hidden, dim, rng, dtype)
-        self._layouts = {}
 
     def _layout(self, height, width, dtype):
         """(index, inverse, mask) of this block's window layout of one
         height x width map: the take_tokens maps of pad -> shift -> partition
         and the shifted-window attention mask (None when unshifted)."""
-        key = (height, width, dtype)
-        if key not in self._layouts:
-            m = self.window
-            hp, wp = -(-height // m) * m, -(-width // m) * m
-            # a single window leaves nothing to shift against
-            shift = self.shift if min(hp, wp) > m else 0
-            mask = shifted_window_mask(hp, wp, m, shift, np.dtype(dtype).type) if shift else None
-            self._layouts[key] = window_index(height, width, m, shift) + (mask,)
-        return self._layouts[key]
+        m = self.window
+        hp, wp = -(-height // m) * m, -(-width // m) * m
+        # a single window leaves nothing to shift against
+        shift = self.shift if min(hp, wp) > m else 0
+        mask = shifted_window_mask(hp, wp, m, shift, np.dtype(dtype).type) if shift else None
+        return window_index(height, width, m, shift) + (mask,)
 
     def __call__(self, x, training=False, rng=None):
         """x: [B, H, W, C] -> same shape."""

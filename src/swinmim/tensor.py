@@ -826,7 +826,8 @@ def grad_check(f, x, h=1e-5, num_samples=None, rng=None):
 
     Returns the maximum relative error over the checked coordinates of x,
     with the denominator floored at 1 so near-zero gradients are compared
-    absolutely. Checks every coordinate unless `num_samples` caps it.
+    absolutely, or inf once an analytic or numeric value is not finite.
+    Checks every coordinate unless `num_samples` caps it.
     """
     if x.data.dtype != np.float64:
         raise TypeError("grad_check requires float64 inputs")
@@ -855,6 +856,8 @@ def grad_check(f, x, h=1e-5, num_samples=None, rng=None):
         flat[i] = orig
         numeric = (fp - fm) / (2.0 * h)
         a = analytic.reshape(-1)[i]
+        if not (math.isfinite(a) and math.isfinite(numeric)):
+            return math.inf
         err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
         worst = max(worst, err)
     return worst

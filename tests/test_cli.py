@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import swinmim
 
 from conftest import write_synthetic_dataset
 from swinmim.cli import main
-from swinmim.config import load_config
+from swinmim.config import _SECTIONS, RunConfig, config_from_dict, load_config
 from swinmim.data import build_index
 from swinmim.train import load_checkpoint, read_tsv_log, save_checkpoint
 
@@ -141,6 +142,18 @@ class TestCount:
             for field, spec in cls.__dataclass_fields__.items():
                 assert spec.type in _JSON_TYPES, f"{name}.{field}: {spec.type}"
 
+    @pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(REPO, "configs"))) + [None])
+    def test_to_dict_round_trips_through_json(self, name):
+        cfg = RunConfig() if name is None else load_config(os.path.join(REPO, "configs", name))
+        assert config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_to_dict_keys_are_the_dataclass_fields(self):
+        data = RunConfig().to_dict()
+        assert list(data) == list(_SECTIONS) == [
+            "model", "mask", "augment", "optimizer", "schedule", "train", "data"]
+        for name, cls in _SECTIONS.items():
+            assert list(data[name]) == [f.name for f in dataclasses.fields(cls)], name
+
     @pytest.mark.parametrize("override", ["optimizer.base_lr=1", "schedule.min_lr=null",
                                           "data.mean=[0.4,0.5,0.6]", "mask_in_finetune=true"])
     def test_fitting_override_accepted(self, tiny_config_path, override):
@@ -167,6 +180,18 @@ class TestPretrainCommand:
                      "--data", str(tmp_path / "absent"), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "absent" in capsys.readouterr().err
+
+    def test_empty_image_exit_2(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        for c in range(10):
+            (root / f"c{c}").mkdir(parents=True)
+        (root / "c0" / "empty.ppm").write_bytes(b"P6\n0 0\n255\n")
+        code = main(["pretrain", "--config", os.path.join(REPO, "configs", "tiny.json"),
+                     "--data", str(root), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "empty.ppm" in err
+        assert len(err.splitlines()) == 1
 
     def test_zero_ratio_override_exit_2(self, tiny_config_path, micro_root, tmp_path,
                                         capsys):

@@ -57,6 +57,14 @@ class TestPpmCodec:
         assert "truncated" in str(e.value)
         assert str(p) in str(e.value)
 
+    @pytest.mark.parametrize("extents", [b"0 0", b"0 2", b"2 0"])
+    def test_empty_image_rejected(self, tmp_path, extents):
+        p = tmp_path / "e.ppm"
+        p.write_bytes(b"P6\n" + extents + b"\n255\n")
+        with pytest.raises(DecodeError) as e:
+            load_ppm(p)
+        assert "empty image" in str(e.value)
+
     def test_comments_in_header(self, tmp_path):
         p = tmp_path / "c.ppm"
         p.write_bytes(b"P6\n# a comment\n1 1 # inline\n255\n\x01\x02\x03")

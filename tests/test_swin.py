@@ -34,6 +34,7 @@ from swinmim.tensor import (
     pad_hw,
     softmax,
     tensor_sum,
+    window_index,
     window_partition,
     window_reverse,
 )
@@ -363,12 +364,22 @@ class TestSwinBlockLayout:
         assert structural_records(whole) - structural_records(attention) == 2
 
     def test_layout_cached_per_map_not_per_batch(self):
+        builders = (window_index, shifted_window_mask)
+        for build in builders:
+            build.cache_clear()
+
+        def builds():
+            return [build.cache_info().misses for build in builders]
+
         block = SwinBlock(8, 2, 4, 2, 4.0, Rng(32).child(0))
-        for b in (1, 3):
-            block(t32(np.ones((b, 8, 8, 8))))
+        # an 8x8 map builds its shifted maps, its mask, and the mask's unshifted maps
+        block(t32(np.ones((1, 8, 8, 8))))
+        assert builds() == [2, 1]
+        block(t32(np.ones((3, 8, 8, 8))))
+        assert builds() == [2, 1]
         block(t32(np.ones((1, 10, 10, 8))))
-        assert sorted(block._layouts) == [(8, 8, np.dtype(np.float32)),
-                                          (10, 10, np.dtype(np.float32))]
+        assert builds() == [4, 2]
+        assert not block._layout(8, 8, np.dtype(np.float32))[2].flags.writeable
 
 
 class TestEncoder:

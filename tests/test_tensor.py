@@ -741,3 +741,14 @@ class TestGradCheckOracle:
     def test_requires_float64(self):
         with pytest.raises(TypeError):
             grad_check(tensor_sum, Tensor(np.ones(3, np.float32), requires_grad=True))
+
+    @pytest.mark.parametrize("grad,offset", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan)])
+    def test_non_finite_gradient_fails(self, grad, offset):
+        """A non-finite analytic (grad) or numeric (offset) gradient fails any tolerance."""
+        def broken_sum(x):
+            out = Tensor(np.asarray(x.data.sum() + offset), requires_grad=True)
+            tensor_mod._record(out, lambda g: x.accumulate_grad(np.full_like(x.data, grad)))
+            return out
+
+        x = t64(Rng(11).child(2).normal(size=(2, 3)))
+        assert not grad_check(broken_sum, x) < 1e-4
