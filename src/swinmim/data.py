@@ -93,8 +93,8 @@ def load_ppm(path):
 def save_ppm(path, img):
     """Encode a float [H, W, 3] array in [0, 1] as canonical binary PPM."""
     img = np.asarray(img)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"expected [H, W, 3] image, got {img.shape}")
+    if img.ndim != 3 or img.shape[2] != 3 or 0 in img.shape:
+        raise ValueError(f"expected a non-empty [H, W, 3] image, got {img.shape}")
     h, w = img.shape[:2]
     raster = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
     with open(path, "wb") as f:
@@ -118,6 +118,8 @@ def resize_bilinear(img, target_h, target_w, half_pixel=True):
         raise ValueError("target extents must be positive")
     img = np.asarray(img)
     h, w = img.shape[:2]
+    if h < 1 or w < 1:
+        raise ValueError(f"source extents must be positive, got {h}x{w}")
     if (h, w) == (target_h, target_w):
         return img.copy()
 

@@ -9,6 +9,7 @@ for single attention modules.
 
 import functools
 import math
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ from .tensor import (
     Tensor,
     ShapeError,
     add,
+    batch_halves,
     drop_path,
     gather_rows,
     gelu,
@@ -325,6 +327,18 @@ class PatchMerge:
         yield from self.reduce.named_params(prefix + ".reduce")
 
 
+def _wrapped_calls():
+    """Whether a function or method the encoder calls carries __wrapped__,
+    as the wrappers of perfbench's span tracer do; such a wrapper may keep
+    state (the tracer's one span stack) that a second thread would corrupt."""
+    from . import mim, tensor
+
+    calls = [v for m in (globals(), vars(tensor), vars(mim)) for v in m.values()
+             if isinstance(v, types.FunctionType)]
+    calls += [cls.__call__ for cls in (Linear, LayerNorm, WindowAttention, SwinBlock, PatchMerge)]
+    return any(hasattr(f, "__wrapped__") for f in calls)
+
+
 @dataclass
 class EncoderOutput:
     final: Tensor  # [B, img/32, img/32, 8C], after the final norm
@@ -363,6 +377,9 @@ class SwinEncoder:
         images: Tensor [B, H, W, in_channels] with H == W == config.img_size.
         token_mask: optional bool array [B, H/4, W/4]; masked positions are
         replaced by `mask_token` right after the embedding norm.
+        A tape-free eval forward of a large even batch runs as two
+        half-batch forwards, one per thread (tensor.batch_halves), with the
+        same output bytes.
         """
         if images.ndim != 4:
             raise ShapeError(f"expected [B,H,W,C] images, got {images.shape}")
@@ -371,6 +388,26 @@ class SwinEncoder:
                 f"input spatial size {images.shape[1]}x{images.shape[2]} "
                 f"!= configured {self.config.img_size}"
             )
+        b = images.shape[0]
+        embedded = b * self.config.stage_resolution(0) ** 2 * self.config.embed_dim
+        halves = None
+        if not training and (token_mask is None or len(token_mask) == b) and not _wrapped_calls():
+            halves = batch_halves(b, embedded, lambda lo, hi: self._forward(
+                Tensor(images.data[lo:hi]), None if token_mask is None else token_mask[lo:hi],
+                mask_token, False, None, keep_stages))
+        if halves is None:
+            return self._forward(images, token_mask, mask_token, training, rng, keep_stages)
+        first, second = halves
+
+        def cat(x, y):
+            return Tensor(np.concatenate([x.data, y.data]), requires_grad=x.requires_grad)
+
+        return EncoderOutput(final=cat(first.final, second.final),
+                             stages=[cat(x, y) for x, y in zip(first.stages, second.stages)])
+
+    __call__ = forward
+
+    def _forward(self, images, token_mask, mask_token, training, rng, keep_stages):
         x = patch_partition(images)
         x = self.embed_norm(self.embed(x))
         if token_mask is not None:
@@ -386,8 +423,6 @@ class SwinEncoder:
             if keep_stages:
                 stage_outputs.append(x)
         return EncoderOutput(final=self.norm(x), stages=stage_outputs)
-
-    __call__ = forward
 
     def named_params(self):
         yield from self.embed.named_params("embed")

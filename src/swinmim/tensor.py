@@ -13,8 +13,11 @@ Large kernels run as two halves (`_pair`, `_halves`), the first on one
 helper thread when this process may use two CPUs. Large work is always cut
 into the same two calls, helper or not, so every element, row and GEMM is
 computed by the same call either way and results do not depend on it.
+A tape-free batched pass can instead run as two half-batch passes
+(`batch_halves`), one per thread, that make the same kernel calls.
 """
 
+import ctypes
 import functools
 import math
 import os
@@ -227,14 +230,27 @@ def _as_tensor(x, like):
 _SPLIT_MIN = 1 << 19
 
 # One helper thread, made on first use when this process may run on at least
-# two CPUs; False when it may not. Its tasks call only numpy and scipy, never
-# touch a Tensor, the tape or a public function of this package, and never
-# submit another task. They write their results into arrays the caller
-# allocated (disjoint slices, or a GEMM's out=): an array the helper
-# allocates comes from its own malloc arena, and one that outlived the task
-# would keep that arena's pages resident (about +5% peak RSS at pretrain-192).
+# two CPUs; False when it may not. A task never submits another one. Kernel
+# halves (`_pair`, `_halves`) call only numpy and scipy and write their
+# results into arrays the caller allocated (disjoint slices, or a GEMM's
+# out=). The first half of `batch_halves` runs a tape-free pass of this
+# package: it makes Tensors and allocates. Making the pool caps glibc at one
+# malloc arena, so the helper's arrays come from the caller's arena; an
+# arena of the helper's own keeps its pages resident (pretrain-192 peak RSS
+# 1185 MB uncapped, 1152 MB capped).
 _POOL = None
 _POOL_LOCK = threading.Lock()
+_M_ARENA_MAX = -8  # glibc mallopt parameter
+
+
+def _one_malloc_arena():
+    """Cap glibc at one malloc arena; a no-op where there is no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no such symbol, or no C library handle
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def _forget_pool():
@@ -256,9 +272,19 @@ def _helper(size):
             if _POOL is None:
                 cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                         else os.cpu_count() or 1)
-                _POOL = (ThreadPoolExecutor(1, thread_name_prefix="swinmim-helper")
-                         if cpus >= 2 else False)
+                if cpus >= 2:
+                    _one_malloc_arena()
+                    _POOL = ThreadPoolExecutor(1, thread_name_prefix="swinmim-helper")
+                else:
+                    _POOL = False
     return _POOL or None
+
+
+class _Half(threading.local):
+    index = None  # 0 or 1 while this thread runs that half of a batch_halves call
+
+
+_HALF = _Half()
 
 
 def _in_errstate(err, fn):
@@ -267,10 +293,11 @@ def _in_errstate(err, fn):
 
 
 def _pair(f, g, size):
-    """(f(), g()), with f on the helper thread when both are given and the
-    largest array holds at least _SPLIT_MIN elements. A task given as None
-    is skipped and yields None. The caller waits for f even when g raises."""
-    pool = _helper(size) if f is not None and g is not None else None
+    """(f(), g()), with f on the helper thread when both are given, the
+    largest array holds at least _SPLIT_MIN elements and this thread runs no
+    half of batch_halves. A task given as None is skipped and yields None.
+    The caller waits for f even when g raises."""
+    pool = _helper(size) if f is not None and g is not None and _HALF.index is None else None
     if pool is None:
         return (None if f is None else f()), (None if g is None else g())
     future = pool.submit(_in_errstate, np.geterr(), f)
@@ -285,16 +312,53 @@ def _pair(f, g, size):
 def _halves(n, size, fn):
     """fn(0, n) for work below _SPLIT_MIN; from there on always the two calls
     fn(0, n // 2) and fn(n // 2, n), the first on the helper thread when there
-    is one. fn writes only rows [lo, hi).
+    is one. fn writes only rows [lo, hi). Within a half of batch_halves it is
+    always the one call fn(0, n).
 
     The cut depends only on n and size, never on the helper, so a GEMM cut by
     rows makes the same BLAS calls with the helper on and off. (A BLAS may
     block a GEMM differently by its row count, so one call over all rows and
     two calls over halves need not give the same bytes.)"""
-    if n < 2 or size < _SPLIT_MIN:
+    if n < 2 or size < _SPLIT_MIN or _HALF.index is not None:
         fn(0, n)
     else:
         _pair(lambda: fn(0, n // 2), lambda: fn(n // 2, n), size)
+
+
+def _run_half(index, err, fn):
+    _HALF.index = index
+    try:
+        return _in_errstate(err, fn)
+    finally:
+        _HALF.index = None
+
+
+def batch_halves(n, size, fn):
+    """(fn(0, n // 2), fn(n // 2, n)), the first on the helper thread, for a
+    tape-free pass over an even batch of n items whose largest array holds at
+    least _SPLIT_MIN elements; None when there is no helper or any of that
+    does not hold, and the caller then runs the whole batch itself.
+
+    fn(lo, hi) runs the pass on items [lo, hi); the rows of every kernel's
+    arrays must come in whole items. Each half then computes every value as
+    the whole batch would: the whole batch's cut at n // 2 falls on the batch
+    halves, kernels below _SPLIT_MIN compute each row (a batched matmul each
+    window's GEMM) on its own, and a forward linear that the whole batch
+    makes as one GEMM is made at the whole batch's height (see linear). The
+    caller waits for the helper's half even when its own half raises."""
+    if n % 2 or size < _SPLIT_MIN or _ACTIVE_TAPE is not None or _HALF.index is not None:
+        return None
+    pool = _helper(size)
+    if pool is None:
+        return None
+    err = np.geterr()
+    future = pool.submit(_run_half, 0, err, lambda: fn(0, n // 2))
+    try:
+        second = _run_half(1, err, lambda: fn(n // 2, n))
+    except BaseException:
+        wait((future,))
+        raise
+    return future.result(), second
 
 
 def _unbroadcast(g, shape):
@@ -451,9 +515,20 @@ def linear(x, weight, bias=None):
     if x.shape[-1] != d_in:
         raise ShapeError(f"linear: input dim {x.shape[-1]} != weight rows {d_in}")
     x2, w = x.data.reshape(-1, d_in), weight.data
-    y2 = np.empty((len(x2), d_out), np.result_type(x2, w))
-    _halves(len(x2), max(x2.size, y2.size, w.size),
-            lambda lo, hi: np.matmul(x2[lo:hi], w, out=y2[lo:hi]))
+    rows, half = len(x2), _HALF.index
+    if half is not None and max(2 * x2.size, 2 * rows * d_out, w.size) < _SPLIT_MIN:
+        # The whole batch makes one GEMM over both halves' rows here, and a BLAS
+        # may give a row another value in a GEMM over fewer rows: make that
+        # GEMM, with this half's rows in place and zero rows for the other's.
+        xw = np.zeros((2 * rows, d_in), x2.dtype)
+        xw[half * rows:(half + 1) * rows] = x2
+        yw = np.empty((2 * rows, d_out), np.result_type(x2, w))
+        np.matmul(xw, w, out=yw)
+        y2 = yw[half * rows:(half + 1) * rows]
+    else:
+        y2 = np.empty((rows, d_out), np.result_type(x2, w))
+        _halves(rows, max(x2.size, y2.size, w.size),
+                lambda lo, hi: np.matmul(x2[lo:hi], w, out=y2[lo:hi]))
     if bias is not None:
         y2 += bias.data
     out_shape = x.shape[:-1] + (d_out,)

@@ -38,16 +38,26 @@ CHECKPOINT_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
+# Elements per cache block of the AdamW update: its 14 passes run block by
+# block, so each block stays in cache from the first pass to the last.
+_ADAM_BLOCK = 1 << 16
+
+
+def _block_rows(data):
+    """Rows of the [rows, ...] array data in one block: at least one."""
+    return max(1, _ADAM_BLOCK // max(1, data[:1].size))
+
+
 class AdamW:
     """Decoupled-decay Adam; moments are bias-corrected.
 
     update: m = b1*m + (1-b1)*g ; v = b2*v + (1-b2)*g^2
             theta -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta)
     Params whose grad is None are skipped entirely. The update runs in
-    place through two scratch buffers sized to the largest param, with the
-    same float operations in the same order as the formula above; a large
+    place with the same float operations in the same order as the formula
+    above, over blocks of whole rows of about _ADAM_BLOCK elements. A large
     param is updated as two row halves, the first on the helper thread when
-    there is one, each through its own rows of the scratch.
+    there is one, each through its own two block-sized scratch buffers.
     """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.05):
@@ -58,8 +68,10 @@ class AdamW:
         self.m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
         self.step_count = 0
-        nbytes = max((p.data.nbytes for p in self.params.values()), default=0)
-        self._scratch = (np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8))
+        nbytes = max((min(len(d), _block_rows(d)) * d[:1].nbytes
+                      for d in (np.atleast_1d(p.data) for p in self.params.values())), default=0)
+        self._scratch = [(np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8))
+                         for _ in range(2)]  # one pair per row half
 
     def step(self, lr):
         self.step_count += 1
@@ -75,11 +87,17 @@ class AdamW:
             p.grad = None
 
     def _update(self, data, g, m, v, lr, c1, c2, lo, hi):
-        """The update of rows [lo, hi) of one param, with scratch rows [lo, hi)."""
-        row = data[:1].nbytes
-        s1, s2 = (b[lo * row:hi * row].view(data.dtype).reshape(data[lo:hi].shape)
-                  for b in self._scratch)
-        data, g, m, v = data[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+        """The update of rows [lo, hi) of one param, block by block through
+        the scratch of its half."""
+        scratch = self._scratch[lo > 0]
+        rows = _block_rows(data)
+        for a in range(lo, hi, rows):
+            block = slice(a, min(a + rows, hi))
+            s1, s2 = (buf[:data[block].nbytes].view(data.dtype).reshape(data[block].shape)
+                      for buf in scratch)
+            self._update_block(data[block], g[block], m[block], v[block], lr, c1, c2, s1, s2)
+
+    def _update_block(self, data, g, m, v, lr, c1, c2, s1, s2):
         m *= self.beta1
         np.multiply(1.0 - self.beta1, g, out=s1)
         m += s1

@@ -1,6 +1,9 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import swinmim.tensor as tensor_mod
 from swinmim.data import save_ppm
 from swinmim.rng import Rng
 from swinmim.swin import SwinConfig
@@ -59,3 +62,28 @@ def write_synthetic_dataset(root, per_class=20, img_size=64, seed=123):
 def synthetic_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("dataset") / "driving"
     return write_synthetic_dataset(root)
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A one-thread helper pool that records the tasks handed to it."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.submitted = []  # the callable of each task
+
+    @property
+    def tasks(self):
+        return len(self.submitted)
+
+    def submit(self, fn, *args, **kwargs):
+        self.submitted.append(fn)
+        return super().submit(fn, *args, **kwargs)
+
+
+@pytest.fixture
+def helper_pool(monkeypatch):
+    """A helper thread even where this process may use only one CPU."""
+    pool = CountingPool()
+    monkeypatch.setattr(tensor_mod, "_POOL", pool)
+    yield pool
+    pool.shutdown()

@@ -65,6 +65,14 @@ class TestPpmCodec:
             load_ppm(p)
         assert "empty image" in str(e.value)
 
+    @pytest.mark.parametrize("shape", [(0, 4, 3), (4, 0, 3), (0, 0, 3)])
+    def test_empty_image_not_written(self, tmp_path, shape):
+        # load_ppm refuses a 0-extent file, so save_ppm must not write one
+        p = tmp_path / "e.ppm"
+        with pytest.raises(ValueError, match="non-empty"):
+            save_ppm(p, np.zeros(shape))
+        assert not p.exists()
+
     def test_comments_in_header(self, tmp_path):
         p = tmp_path / "c.ppm"
         p.write_bytes(b"P6\n# a comment\n1 1 # inline\n255\n\x01\x02\x03")
@@ -108,6 +116,11 @@ class TestResize:
     def test_bad_target(self):
         with pytest.raises(ValueError):
             resize_bilinear(np.zeros((4, 4, 3)), 0, 4)
+
+    @pytest.mark.parametrize("shape", [(0, 4, 3), (4, 0, 3), (0, 4)])
+    def test_empty_source_rejected(self, shape):
+        with pytest.raises(ValueError, match="source extents"):
+            resize_bilinear(np.zeros(shape, np.float32), 8, 8)
 
 
 class TestSplit:

@@ -1,6 +1,12 @@
+import functools
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import swinmim.swin as swin_mod
+import swinmim.tensor as tensor_mod
 from conftest import tiny_config
 from swinmim.rng import Rng
 from swinmim.swin import (
@@ -426,6 +432,94 @@ class TestEncoder:
         tape.backward(loss)
         missing = [n for n, p in clf.named_params() if p.grad is None]
         assert missing == []
+
+
+@pytest.fixture
+def split_tiny(helper_pool, monkeypatch):
+    """A helper thread, and a split threshold at which a tiny-config encoder
+    splits at B=4: its stage-0 kernels are above it and the stage-1 proj
+    linear, made as one GEMM by the whole batch, is below it."""
+    monkeypatch.setattr(tensor_mod, "_SPLIT_MIN", 1 << 14)
+    return helper_pool
+
+
+def encoder_bytes(encoder, images, token_mask=None, mask_token=None):
+    out = encoder(t32(images), token_mask=token_mask, mask_token=mask_token, keep_stages=True)
+    return [out.final.numpy().tobytes()] + [s.numpy().tobytes() for s in out.stages]
+
+
+def run_halves(pool):
+    return sum(fn is tensor_mod._run_half for fn in pool.submitted)
+
+
+class TestHelperThread:
+    """A tape-free encoder forward runs as two batch halves, with the same bytes."""
+
+    def setup_method(self):
+        rng = Rng(16)
+        self.encoder = SwinEncoder(tiny_config(), rng.child(0))
+        self.images = rng.child(1).normal(size=(4, 64, 64, 3)).astype(np.float32)
+        self.mask = rng.child(2).uniform(size=(4, 16, 16)) < 0.5
+        self.token = t32(rng.child(3).normal(size=(16,)))
+
+    def outputs(self):
+        return (encoder_bytes(self.encoder, self.images)
+                + encoder_bytes(self.encoder, self.images, self.mask, self.token))
+
+    def test_split_forward_matches_whole_batch(self, split_tiny, monkeypatch):
+        split = self.outputs()
+        assert split_tiny.tasks == 2  # one batch half per forward, nothing else
+        assert run_halves(split_tiny) == 2
+        monkeypatch.setattr(swin_mod, "batch_halves", lambda n, size, fn: None)
+        assert self.outputs() == split
+        assert split_tiny.tasks > 2  # the whole batch split its large kernels instead
+
+    def test_same_with_helper_on_and_off(self, split_tiny, monkeypatch):
+        on = self.outputs()
+        monkeypatch.setattr(tensor_mod, "_POOL", False)
+        assert self.outputs() == on
+
+    @pytest.mark.parametrize("case", ["odd batch", "tape", "training"])
+    def test_no_split(self, split_tiny, case):
+        images = np.concatenate([self.images, self.images[:1]]) if case == "odd batch" \
+            else self.images
+        if case == "tape":
+            with Tape():
+                self.encoder(t32(images))
+        else:
+            self.encoder(t32(images), training=case == "training")
+        assert split_tiny.tasks > 0  # large kernels still split
+        assert run_halves(split_tiny) == 0
+
+    @pytest.mark.parametrize("raising", ["helper", "caller"])
+    def test_error_in_either_half_propagates(self, split_tiny, monkeypatch, raising):
+        finished = threading.Event()
+        whole = SwinEncoder._forward
+
+        def half(encoder, *args):
+            if tensor_mod._HALF.index == (0 if raising == "helper" else 1):
+                raise ValueError("boom")
+            time.sleep(0.05)
+            out = whole(encoder, *args)
+            finished.set()
+            return out
+
+        monkeypatch.setattr(SwinEncoder, "_forward", half)
+        with pytest.raises(ValueError, match="boom"):
+            self.encoder(t32(self.images))
+        assert finished.is_set()  # the caller waited for the helper first
+        assert tensor_mod._HALF.index is None
+
+    def test_wrapped_block_call_does_not_split(self, split_tiny, monkeypatch):
+        call = SwinBlock.__call__
+
+        @functools.wraps(call)
+        def traced(*args, **kwargs):
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(SwinBlock, "__call__", traced)
+        self.outputs()
+        assert run_halves(split_tiny) == 0
 
 
 class TestConfigValidation:

@@ -4,7 +4,6 @@ import signal
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -434,27 +433,6 @@ class TestTapeMemoryContract:
         assert np.array_equal(seed, [2.0, 2.0])
 
 
-class CountingPool(ThreadPoolExecutor):
-    """A one-thread helper pool that counts the tasks handed to it."""
-
-    def __init__(self):
-        super().__init__(1)
-        self.tasks = 0
-
-    def submit(self, *args, **kwargs):
-        self.tasks += 1
-        return super().submit(*args, **kwargs)
-
-
-@pytest.fixture
-def helper_pool(monkeypatch):
-    """A helper thread even where this process may use only one CPU."""
-    pool = CountingPool()
-    monkeypatch.setattr(tensor_mod, "_POOL", pool)
-    yield pool
-    pool.shutdown()
-
-
 def paper_shaped_ops():
     """Linear, layer_norm, gelu, matmul and softmax on arrays above the split
     threshold, then one AdamW step. Returns (kernel bytes, reference bytes):
@@ -656,8 +634,22 @@ class TestHelperThread:
     def test_no_helper_on_one_cpu(self, monkeypatch):
         monkeypatch.setattr(tensor_mod, "_POOL", None)
         monkeypatch.setattr(tensor_mod.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(tensor_mod, "_one_malloc_arena", lambda: pytest.fail("arena capped"))
         assert tensor_mod._helper(tensor_mod._SPLIT_MIN) is None
         assert tensor_mod._POOL is False
+
+    def test_making_the_helper_caps_malloc_arenas_once(self, monkeypatch):
+        tensor_mod._one_malloc_arena()  # glibc, or a no-op where there is no mallopt
+        capped = []
+        monkeypatch.setattr(tensor_mod, "_POOL", None)
+        monkeypatch.setattr(tensor_mod.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(tensor_mod, "_one_malloc_arena", lambda: capped.append(True))
+        pool = tensor_mod._helper(tensor_mod._SPLIT_MIN)
+        try:
+            assert tensor_mod._helper(tensor_mod._SPLIT_MIN) is pool
+        finally:
+            pool.shutdown()
+        assert capped == [True]
 
 
 class TestDebugChecks:

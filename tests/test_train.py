@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import swinmim.tensor as tensor_mod
+import swinmim.train as train_mod
 from conftest import tiny_config, write_synthetic_dataset
 from swinmim.config import RunConfig, config_from_dict
 from swinmim.data import build_index, split_dataset
@@ -109,6 +110,26 @@ class TestAdamW:
             assert p.grad is None
         assert np.array_equal(idle.data, idle_before)
         assert not opt.m["idle"].any() and not opt.v["idle"].any()
+
+    def test_blocked_update_matches_unblocked(self, monkeypatch):
+        # multi-block rows, one row wider than a block, a 1-D param over
+        # several blocks, a scalar and a float64 param
+        shapes = {"w": (768, 200), "wide": (3, 70000), "b": (100000,), "s": (), "d": (5, 7)}
+        rng = Rng(42)
+        init = {n: rng.child(i, 0).normal(size=sh).astype(np.float64 if n == "d" else np.float32)
+                for i, (n, sh) in enumerate(shapes.items())}
+        results = []
+        for block in (train_mod._ADAM_BLOCK, 1 << 40):  # 1 << 40: every param in one block
+            monkeypatch.setattr(train_mod, "_ADAM_BLOCK", block)
+            params = {n: Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
+            opt = AdamW(params)
+            for t, lr in ((1, 1e-2), (2, 5e-3)):
+                for i, (n, p) in enumerate(params.items()):
+                    p.grad = rng.child(i, t).normal(size=p.shape).astype(p.data.dtype)
+                opt.step(lr)
+            results.append([params[n].data.tobytes() + opt.m[n].tobytes() + opt.v[n].tobytes()
+                            for n in shapes])
+        assert results[0] == results[1]
 
     def test_quadratic_convergence(self):
         theta = Tensor(np.array([1.0], np.float64), requires_grad=True)
