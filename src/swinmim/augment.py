@@ -66,13 +66,6 @@ class AugmentConfig:
         return [name for name in self.OFFLINE if getattr(self, name)]
 
 
-def assert_soft_label(label, atol=1e-6):
-    label = np.asarray(label)
-    if label.min() < 0 or abs(label.sum() - 1.0) > atol:
-        raise ValueError(f"not a probability vector: sum={label.sum()}, min={label.min()}")
-    return label
-
-
 # ---------------------------------------------------------------------------
 # pairwise strategies: CutMix and MixUp
 # ---------------------------------------------------------------------------

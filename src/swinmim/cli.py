@@ -84,8 +84,7 @@ def cmd_finetune(args):
     write_split_manifest(os.path.join(args.out, "split.tsv"), train_idx, eval_idx)
     _, metrics, ckpt = run_finetune(
         cfg, train_idx, eval_idx, args.out, seed=args.seed,
-        init_checkpoint=args.init_from, remap_window=args.remap_window,
-        resume=args.resume,
+        init_checkpoint=args.init_from, resume=args.resume,
     )
     _print_metrics(metrics)
     print(f"finetune done: checkpoint at {ckpt}")
@@ -197,9 +196,9 @@ def build_parser():
 
     p = sub.add_parser("finetune", help="classification fine-tuning")
     _common_args(p)
-    p.add_argument("--init-from", default=None, help="pretraining checkpoint to start from")
-    p.add_argument("--remap-window", action="store_true",
-                   help="bicubically resample bias tables when window size differs")
+    p.add_argument("--init-from", default=None,
+                   help="pretraining checkpoint to start from; bias tables of another "
+                        "window size are resampled bicubically")
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
     p.set_defaults(func=cmd_finetune)
 

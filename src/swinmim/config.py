@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin
 
 from .augment import AugmentConfig
-from .mim import MaskSpec
+from .mim import TARGET_FACTORS, MaskSpec
 from .swin import ConfigError, SwinConfig
 
 
@@ -86,8 +86,8 @@ class MaskConfig:
 
     def validate(self):
         MaskSpec(self.mask_patch_size, self.mask_ratio).validate()
-        if self.target_factor not in (2, 4, 8, 16, 32):
-            raise ConfigError(f"target_factor {self.target_factor} not in {{2,4,8,16,32}}")
+        if self.target_factor not in TARGET_FACTORS:
+            raise ConfigError(f"target_factor {self.target_factor} not in {TARGET_FACTORS}")
         return self
 
     def spec(self, seed=0):

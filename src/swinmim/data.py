@@ -216,17 +216,6 @@ def write_split_manifest(path, train, test):
                 f.write(f"{rec.path}\t{rec.class_id}\t{tag}\n")
 
 
-def read_split_manifest(path, root=""):
-    train = DatasetIndex(root=root)
-    test = DatasetIndex(root=root)
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            rec_path, class_id, tag = line.rstrip("\n").split("\t")
-            target = train if tag == "train" else test
-            target.by_class[int(class_id)].append(ImageRecord(rec_path, int(class_id)))
-    return train, test
-
-
 # ---------------------------------------------------------------------------
 # batching
 # ---------------------------------------------------------------------------

@@ -21,6 +21,9 @@ from .tensor import (Tensor, ShapeError, absolute, mul, reshape, tensor_sum, whe
                      window_reverse)
 
 
+TARGET_FACTORS = (2, 4, 8, 16, 32)  # prediction-head upscales the encoder stride allows
+
+
 class EmptyMaskError(ValueError):
     """Raised when a loss would average over zero masked elements."""
 
@@ -61,10 +64,6 @@ class MaskMap:
         self.unit_grid = np.asarray(unit_grid, dtype=bool)
         self.mask_patch_size = int(mask_patch_size)
         self.img_size = int(img_size)
-
-    @property
-    def masked_units(self):
-        return int(self.unit_grid.sum())
 
     def pixel_mask(self, scale=1):
         """Per-pixel mask at img_size/scale resolution (exact unit upsampling)."""
@@ -117,16 +116,12 @@ def apply_mask(tokens, token_mask, mask_token):
 
 
 class PredictionHead:
-    """Single linear layer mapping each final feature to an r x r x 3 block."""
+    """Single linear layer mapping each final feature to an r x r x c block."""
 
-    def __init__(self, feature_dim, rng, upscale=32, out_channels=3, dtype=np.float32):
+    def __init__(self, feature_dim, rng, out_channels, upscale=32, dtype=np.float32):
         self.upscale = int(upscale)
         self.out_channels = int(out_channels)
         self.proj = Linear(feature_dim, self.upscale * self.upscale * out_channels, rng, dtype)
-
-    @property
-    def out_dim(self):
-        return self.upscale * self.upscale * self.out_channels
 
     def named_params(self, prefix):
         yield from self.proj.named_params(prefix)
@@ -135,7 +130,8 @@ class PredictionHead:
 def predict_pixels(features, head):
     """Tile per-feature pixel blocks back into a full image.
 
-    features: Tensor [B, h, w, D] -> [B, h*r, w*r, 3] with r = head.upscale.
+    features: Tensor [B, h, w, D] -> [B, h*r, w*r, c] with r = head.upscale
+    and c = head.out_channels.
     """
     b, h, w, _ = features.shape
     r, c = head.upscale, head.out_channels
@@ -172,13 +168,14 @@ class MIMPretrainModel:
         self.config = config
         self.mask_spec = mask_spec if mask_spec is not None else MaskSpec()
         self.target_factor = int(target_factor)
-        if self.target_factor not in (2, 4, 8, 16, 32):
-            raise ValueError(f"target_factor {target_factor} not in {{2,4,8,16,32}}")
+        if self.target_factor not in TARGET_FACTORS:
+            raise ValueError(f"target_factor {target_factor} not in {TARGET_FACTORS}")
         self.encoder = SwinEncoder(config, init, dtype)
         self.mask_token = Tensor(
             init.trunc_normal((config.embed_dim,), dtype=dtype), requires_grad=True
         )
-        self.head = PredictionHead(config.final_dim, init, upscale=self.target_factor, dtype=dtype)
+        self.head = PredictionHead(config.final_dim, init, config.in_channels,
+                                   upscale=self.target_factor, dtype=dtype)
         # the encoder downsamples by `stride`; the head tiles features back up
         # by target_factor, so the regression target is the input downsampled
         # by stride/target_factor (area averaging), the original at 32/32
@@ -192,15 +189,13 @@ class MIMPretrainModel:
     def loss(self, images, masks, training=True, rng=None):
         """Masked regression loss for a batch.
 
-        images: Tensor [B, H, W, 3] (already normalized); masks: list of
+        images: Tensor [B, H, W, in_channels] (already normalized); masks: list of
         MaskMap, one per sample. Targets are the (possibly downsampled)
         input pixels themselves.
         """
         token_mask = np.stack([m.token_mask() for m in masks])
-        feats = self.encoder(
-            images, token_mask=token_mask, mask_token=self.mask_token,
-            training=training, rng=rng,
-        ).final
+        feats = self.encoder(images, token_mask=token_mask, mask_token=self.mask_token,
+                             training=training, rng=rng)
         pred = predict_pixels(feats, self.head)
         target = images if self.target_downsample == 1 else Tensor(
             _downsample_area(images.numpy(), self.target_downsample)

@@ -10,7 +10,7 @@ for single attention modules.
 import functools
 import math
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,9 +75,8 @@ class SwinConfig:
     def stage_dim(self, stage):
         return self.embed_dim * (2 ** stage)
 
-    def stage_resolution(self, stage, img_size=None):
-        img = self.img_size if img_size is None else img_size
-        return img // PATCH // (2 ** stage)
+    def stage_resolution(self, stage):
+        return self.img_size // PATCH // (2 ** stage)
 
     @property
     def final_dim(self):
@@ -158,25 +157,6 @@ def patch_partition(img):
     return reshape(tokens, img.shape[:-3] + (h // PATCH, w // PATCH, PATCH * PATCH * c))
 
 
-def patch_merge(x, norm_gamma, norm_beta, weight):
-    """Merge 2x2 token neighborhoods: [B,H,W,C] -> [B,H/2,W/2,2C] (B optional).
-
-    The four tokens of each neighborhood are concatenated along channels
-    (row-major within the 2x2 patch, giving 4C), layer-normed, then linearly
-    reduced to 2C.
-    """
-    grouped = _merge_concat(x)
-    normed = layer_norm(grouped, norm_gamma, norm_beta)
-    return linear(normed, weight, None)
-
-
-def _merge_concat(x):
-    """The concat-to-4C half of patch merging (exposed for tests)."""
-    windows = window_partition(x, 2)  # checks the rank and the even extents
-    h, w, c = x.shape[-3:]
-    return reshape(windows, x.shape[:-3] + (h // 2, w // 2, 4 * c))
-
-
 def relative_position_index(window):
     """Pairwise relative-offset lookup indices for one window, [M*M, M*M]."""
     coords = np.stack(np.meshgrid(np.arange(window), np.arange(window), indexing="ij"))
@@ -255,7 +235,8 @@ class WindowAttention:
         if mask is not None:
             nw = mask.shape[0]
             attn = reshape(attn, (bw // nw, nw, h, n, n))
-            attn = add(attn, Tensor(mask[None, :, None, :, :].astype(attn.dtype)))
+            # a view of the cached mask, which SwinBlock._layout built in x's dtype
+            attn = add(attn, Tensor(mask[None, :, None, :, :]))
             attn = reshape(attn, (bw, h, n, n))
 
         attn = softmax(attn, axis=-1)
@@ -315,12 +296,21 @@ class SwinBlock:
 
 
 class PatchMerge:
+    """Merge 2x2 token neighborhoods: [B,H,W,C] -> [B,H/2,W/2,2C] (B optional).
+
+    The four tokens of each neighborhood are concatenated along channels
+    (row-major within the 2x2 patch, giving 4C), layer-normed, then linearly
+    reduced to 2C.
+    """
+
     def __init__(self, dim, rng, dtype=np.float32):
         self.norm = LayerNorm(4 * dim, dtype)
         self.reduce = Linear(4 * dim, 2 * dim, rng, dtype, bias=False)
 
     def __call__(self, x):
-        return patch_merge(x, self.norm.gamma, self.norm.beta, self.reduce.weight)
+        windows = window_partition(x, 2)  # checks the rank and the even extents
+        h, w, c = x.shape[-3:]
+        return self.reduce(self.norm(reshape(windows, x.shape[:-3] + (h // 2, w // 2, 4 * c))))
 
     def named_params(self, prefix):
         yield from self.norm.named_params(prefix + ".norm")
@@ -337,12 +327,6 @@ def _wrapped_calls():
              if isinstance(v, types.FunctionType)]
     calls += [cls.__call__ for cls in (Linear, LayerNorm, WindowAttention, SwinBlock, PatchMerge)]
     return any(hasattr(f, "__wrapped__") for f in calls)
-
-
-@dataclass
-class EncoderOutput:
-    final: Tensor  # [B, img/32, img/32, 8C], after the final norm
-    stages: list = field(default_factory=list)  # per-stage block outputs
 
 
 class SwinEncoder:
@@ -370,9 +354,9 @@ class SwinEncoder:
             self.stages.append(blocks)
         self.norm = LayerNorm(config.final_dim, dtype)
 
-    def forward(self, images, token_mask=None, mask_token=None, training=False, rng=None,
-                keep_stages=False):
-        """Run the full pipeline.
+    def forward(self, images, token_mask=None, mask_token=None, training=False, rng=None):
+        """Run the full pipeline; returns the final feature map
+        [B, img/32, img/32, final_dim], after the final norm.
 
         images: Tensor [B, H, W, in_channels] with H == W == config.img_size.
         token_mask: optional bool array [B, H/4, W/4]; masked positions are
@@ -388,41 +372,36 @@ class SwinEncoder:
                 f"input spatial size {images.shape[1]}x{images.shape[2]} "
                 f"!= configured {self.config.img_size}"
             )
+        if images.shape[3] != self.config.in_channels:
+            raise ConfigError(f"input has {images.shape[3]} channels "
+                              f"!= configured in_channels {self.config.in_channels}")
         b = images.shape[0]
         embedded = b * self.config.stage_resolution(0) ** 2 * self.config.embed_dim
         halves = None
         if not training and (token_mask is None or len(token_mask) == b) and not _wrapped_calls():
             halves = batch_halves(b, embedded, lambda lo, hi: self._forward(
                 Tensor(images.data[lo:hi]), None if token_mask is None else token_mask[lo:hi],
-                mask_token, False, None, keep_stages))
+                mask_token, False, None))
         if halves is None:
-            return self._forward(images, token_mask, mask_token, training, rng, keep_stages)
+            return self._forward(images, token_mask, mask_token, training, rng)
         first, second = halves
-
-        def cat(x, y):
-            return Tensor(np.concatenate([x.data, y.data]), requires_grad=x.requires_grad)
-
-        return EncoderOutput(final=cat(first.final, second.final),
-                             stages=[cat(x, y) for x, y in zip(first.stages, second.stages)])
+        return Tensor(np.concatenate([first.data, second.data]), requires_grad=first.requires_grad)
 
     __call__ = forward
 
-    def _forward(self, images, token_mask, mask_token, training, rng, keep_stages):
+    def _forward(self, images, token_mask, mask_token, training, rng):
         x = patch_partition(images)
         x = self.embed_norm(self.embed(x))
         if token_mask is not None:
             from .mim import apply_mask  # local import; mim depends on swin
 
             x = apply_mask(x, token_mask, mask_token)
-        stage_outputs = []
         for merge, blocks in zip(self.merges, self.stages):
             if merge is not None:
                 x = merge(x)
             for block in blocks:
                 x = block(x, training=training, rng=rng)
-            if keep_stages:
-                stage_outputs.append(x)
-        return EncoderOutput(final=self.norm(x), stages=stage_outputs)
+        return self.norm(x)
 
     def named_params(self):
         yield from self.embed.named_params("embed")
@@ -457,7 +436,7 @@ class SwinClassifier:
         if token_mask is not None and mask_token is None:
             mask_token = self.mask_token
         feats = self.encoder(images, token_mask=token_mask, mask_token=mask_token,
-                             training=training, rng=rng).final
+                             training=training, rng=rng)
         pooled = tensor_mean(feats, axis=(1, 2))  # [B, final_dim]
         return self.head(pooled)
 

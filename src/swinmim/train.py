@@ -225,12 +225,12 @@ class Metrics:
         return float(self.f1.mean())
 
 
-def evaluate(model, index, run_cfg, batch_size=None, cache=None):
-    """Deterministic forward pass over the index: no shuffling, no
-    augmentation, no masking. Returns Metrics."""
-    batch_size = batch_size or run_cfg.train.batch_size
+def evaluate(model, index, run_cfg, cache=None):
+    """Deterministic forward pass over the index in batches of
+    train.batch_size: no shuffling, no augmentation, no masking. Returns
+    Metrics."""
     true_ids, pred_ids = [], []
-    for batch in make_batches(index, batch_size, seed=0, epoch=0,
+    for batch in make_batches(index, run_cfg.train.batch_size, seed=0, epoch=0,
                               img_size=run_cfg.model.img_size,
                               mean=run_cfg.data.mean, std=run_cfg.data.std,
                               shuffle=False, cache=cache):
@@ -438,12 +438,12 @@ def remap_bias_table(table, old_window, new_window):
     return out.reshape(new_side * new_side, heads).astype(table.dtype)
 
 
-def load_pretrained_encoder(model, tensors, remap_window=False):
+def load_pretrained_encoder(model, tensors):
     """Warm-start a model's encoder (and mask token) from checkpoint tensors.
 
-    Parameters are matched by name. Relative-position-bias tables whose
-    shape differs are bicubically resampled when remap_window is set;
-    otherwise the mismatch is an error listing every offending tensor.
+    Parameters are matched by name. A relative-position-bias table with the
+    same head count but another window size is bicubically resampled; any
+    other shape mismatch is an error listing every offending tensor.
     Head parameters absent from the checkpoint stay freshly initialized.
     Returns {"loaded": [...], "remapped": [...], "fresh": [...]}.
     """
@@ -458,9 +458,6 @@ def load_pretrained_encoder(model, tensors, remap_window=False):
             param.data = arr.astype(param.data.dtype).copy()
             report["loaded"].append(name)
         elif name.endswith("attn.bias_table") and arr.shape[1] == param.data.shape[1]:
-            if not remap_window:
-                mismatched.append(name)
-                continue
             old_window = (int(round(math.sqrt(arr.shape[0]))) + 1) // 2
             new_window = (int(round(math.sqrt(param.data.shape[0]))) + 1) // 2
             param.data = remap_bias_table(arr, old_window, new_window).astype(param.data.dtype)
@@ -469,8 +466,7 @@ def load_pretrained_encoder(model, tensors, remap_window=False):
             mismatched.append(name)
     if mismatched:
         raise CheckpointNameError(
-            "checkpoint/config mismatch for tensors (pass remap_window to resample "
-            f"bias tables): {sorted(mismatched)}"
+            f"checkpoint/config mismatch for tensors: {sorted(mismatched)}"
         )
     return report
 
@@ -626,7 +622,7 @@ def run_pretrain(run_cfg, index, out_dir, seed=0, resume=None):
 
 
 def run_finetune(run_cfg, train_index, eval_index, out_dir, seed=0,
-                 init_checkpoint=None, remap_window=False, resume=None):
+                 init_checkpoint=None, resume=None):
     """Classification fine-tuning; returns (model, Metrics, ckpt path).
 
     Optional batch-level CutMix/MixUp (augment config) and optional
@@ -639,7 +635,7 @@ def run_finetune(run_cfg, train_index, eval_index, out_dir, seed=0,
     model = SwinClassifier(run_cfg.model, rng.child(_INIT), with_mask_token=with_token)
     if init_checkpoint is not None:
         _, tensors = load_checkpoint(init_checkpoint)
-        load_pretrained_encoder(model, tensors, remap_window=remap_window)
+        load_pretrained_encoder(model, tensors)
     mask_spec = run_cfg.mask.spec(seed) if with_token else None
     img_size = run_cfg.model.img_size
     metrics = None

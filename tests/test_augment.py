@@ -8,7 +8,6 @@ from swinmim import augment as aug
 from swinmim.augment import (
     AugmentConfig,
     CutBox,
-    assert_soft_label,
     cutmix,
     expand_dataset,
     gaussian_noise,
@@ -24,6 +23,12 @@ from swinmim.augment import (
 from swinmim.data import build_index, load_ppm, one_hot
 from swinmim.mim import round_half_up
 from swinmim.rng import Rng
+
+
+def assert_soft_label(label, atol=1e-6):
+    """A label row is a probability vector: nonnegative, summing to 1."""
+    label = np.asarray(label)
+    assert label.min() >= 0 and abs(label.sum() - 1.0) <= atol, label
 
 
 def ks_statistic_uniform(samples):

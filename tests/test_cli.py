@@ -200,6 +200,13 @@ class TestPretrainCommand:
         assert code == 2
         assert not (tmp_path / "o" / "checkpoint.sldb").exists()
 
+    def test_channel_mismatch_exit_2(self, tiny_config_path, micro_root, tmp_path, capsys):
+        code = main(["pretrain", "--config", tiny_config_path, "--data", micro_root,
+                     "--out", str(tmp_path / "o"), "--override", "model.in_channels=1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: input has 3 channels != configured in_channels 1\n"
+
     def test_unknown_override_exit_2(self, tiny_config_path, micro_root, tmp_path):
         code = main(["pretrain", "--config", tiny_config_path, "--data", micro_root,
                      "--out", str(tmp_path / "o"), "--override", "nonsense=1"])
@@ -305,27 +312,37 @@ class TestFinetuneEval:
         assert err.startswith("error: ") and path in err and "run_config" in err
         assert len(err.splitlines()) == 1
 
-    def test_window_mismatch_without_flag_exit_2(self, micro_root, tmp_path, capsys):
-        cfg_small = dict(TINY)
-        cfg_small["model"] = dict(TINY["model"], window_size=2)
-        p_small = tmp_path / "w2.json"
-        p_small.write_text(json.dumps(cfg_small))
-        code = main(["pretrain", "--config", str(p_small), "--data", micro_root,
+    def pretrain_then_finetune(self, micro_root, tmp_path, pre_model):
+        """Pretrain tiny with pre_model's model fields, then fine-tune plain
+        tiny from that checkpoint; returns the fine-tune's exit code."""
+        p_pre = tmp_path / "pre.json"
+        p_pre.write_text(json.dumps(dict(TINY, model=dict(TINY["model"], **pre_model))))
+        code = main(["pretrain", "--config", str(p_pre), "--data", micro_root,
                      "--out", str(tmp_path / "pre"), "--seed", "0"])
         assert code == 0
-
-        p_big = tmp_path / "w4.json"
-        p_big.write_text(json.dumps(TINY))
-        code = main(["finetune", "--config", str(p_big), "--data", micro_root,
+        p_ft = tmp_path / "ft.json"
+        p_ft.write_text(json.dumps(TINY))
+        return main(["finetune", "--config", str(p_ft), "--data", micro_root,
                      "--out", str(tmp_path / "ft"),
                      "--init-from", str(tmp_path / "pre" / "checkpoint.sldb")])
-        assert code == 2
-        assert "bias_table" in capsys.readouterr().err
 
-        code = main(["finetune", "--config", str(p_big), "--data", micro_root,
-                     "--out", str(tmp_path / "ft2"), "--remap-window",
-                     "--init-from", str(tmp_path / "pre" / "checkpoint.sldb")])
-        assert code == 0
+    def test_window_change_remapped_without_flag(self, micro_root, tmp_path):
+        assert self.pretrain_then_finetune(micro_root, tmp_path, {"window_size": 2}) == 0
+        _, pre = load_checkpoint(str(tmp_path / "pre" / "checkpoint.sldb"))
+        _, ft = load_checkpoint(str(tmp_path / "ft" / "checkpoint.sldb"))
+        tables = [n for n in ft if n.startswith("stages.") and n.endswith("attn.bias_table")]
+        assert len(tables) == sum(TINY["model"]["depths"])
+        for name in tables:
+            assert pre[name].shape == (9, ft[name].shape[1])
+            assert ft[name].shape == (49, pre[name].shape[1])
+
+    def test_head_count_change_exit_2(self, micro_root, tmp_path, capsys):
+        code = self.pretrain_then_finetune(micro_root, tmp_path, {"heads": [2, 2, 2, 4]})
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "stages.2.blocks.0.attn.bias_table" in err[0]
+        assert not (tmp_path / "ft" / "checkpoint.sldb").exists()
 
 
 class TestMaskSweep:

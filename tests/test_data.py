@@ -12,7 +12,6 @@ from swinmim.data import (
     make_batches,
     normalize,
     one_hot,
-    read_split_manifest,
     resize_bilinear,
     save_ppm,
     split_dataset,
@@ -170,9 +169,10 @@ class TestSplit:
         train, test = split_dataset(idx, 0.75, seed=9)
         path = tmp_path / "split.tsv"
         write_split_manifest(path, train, test)
-        train2, test2 = read_split_manifest(path)
-        assert [r.path for r in train2.records] == [r.path for r in train.records]
-        assert [r.path for r in test2.records] == [r.path for r in test.records]
+        rows = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+        expect = [[r.path, str(r.class_id), tag]
+                  for index, tag in ((train, "train"), (test, "test")) for r in index.records]
+        assert rows == expect
 
 
 class TestBatches:

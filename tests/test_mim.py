@@ -24,11 +24,11 @@ class TestGenerateMask:
     def test_paper_default_strategy_counts(self):
         m = generate_mask(MaskSpec(32, 0.5), 192, Rng(0))
         assert m.unit_grid.shape == (6, 6)
-        assert m.masked_units == 18
+        assert m.unit_grid.sum() == 18
 
     def test_ratio_extremes(self):
-        assert generate_mask(MaskSpec(32, 0.0), 192, Rng(0)).masked_units == 0
-        assert generate_mask(MaskSpec(32, 1.0), 192, Rng(0)).masked_units == 36
+        assert generate_mask(MaskSpec(32, 0.0), 192, Rng(0)).unit_grid.sum() == 0
+        assert generate_mask(MaskSpec(32, 1.0), 192, Rng(0)).unit_grid.sum() == 36
 
     def test_clipped_edge_units(self):
         # 224 = 3*64 + 32: a 4x4 unit grid whose last row/col is half size
@@ -54,8 +54,8 @@ class TestGenerateMask:
         expected = round_half_up(ratio * units)
         for seed in range(100):
             m = generate_mask(spec, 224, Rng(seed))
-            assert m.masked_units == expected
-        assert abs(m.masked_units / units - ratio) <= 1.0 / units
+            assert m.unit_grid.sum() == expected
+        assert abs(m.unit_grid.sum() / units - ratio) <= 1.0 / units
 
     def test_token_and_pixel_views_consistent(self):
         m = generate_mask(MaskSpec(16, 0.5), 64, Rng(3))
@@ -106,15 +106,15 @@ class TestApplyMask:
 class TestPredictPixels:
     def test_full_scale_shapes(self):
         rng = Rng(6)
-        head = PredictionHead(768, rng, upscale=32)
-        assert head.out_dim == 3072
+        head = PredictionHead(768, rng, 3, upscale=32)
+        assert head.proj.weight.shape == (768, 3072)
         feats = Tensor(rng.child(1).normal(size=(1, 6, 6, 768)).astype(np.float32))
         out = predict_pixels(feats, head)
         assert out.shape == (1, 192, 192, 3)
 
     def test_zero_weights_constant_bias(self):
         rng = Rng(7)
-        head = PredictionHead(16, rng, upscale=4)
+        head = PredictionHead(16, rng, 3, upscale=4)
         head.proj.weight.data[:] = 0.0
         head.proj.bias.data[:] = 0.5
         feats = Tensor(rng.child(1).normal(size=(2, 3, 3, 16)).astype(np.float32))
@@ -123,7 +123,7 @@ class TestPredictPixels:
     def test_block_placement(self):
         # each feature's block must tile its own r x r cell
         rng = Rng(8)
-        head = PredictionHead(4, rng, upscale=2)
+        head = PredictionHead(4, rng, 3, upscale=2)
         head.proj.weight.data[:] = 0.0
         head.proj.bias.data[:] = np.arange(12, dtype=np.float32)
         feats = Tensor(np.zeros((1, 2, 2, 4), np.float32))
@@ -135,7 +135,7 @@ class TestPredictPixels:
 
     def test_bytes_equal_numpy_tiling(self):
         rng = Rng(10)
-        head = PredictionHead(8, rng, upscale=4)
+        head = PredictionHead(8, rng, 3, upscale=4)
         feats = Tensor(rng.child(1).normal(size=(2, 3, 2, 8)).astype(np.float32))
         blocks = head.proj(feats).numpy().reshape(2, 3, 2, 4, 4, 3)
         expect = blocks.transpose(0, 1, 3, 2, 4, 5).reshape(2, 12, 8, 3)
@@ -143,7 +143,7 @@ class TestPredictPixels:
 
     def test_head_gradient(self):
         rng = Rng(9)
-        head = PredictionHead(6, rng, upscale=2, dtype=np.float64)
+        head = PredictionHead(6, rng, 3, upscale=2, dtype=np.float64)
         feats = Tensor(rng.child(1).normal(size=(1, 2, 2, 6)), requires_grad=False)
         probe = Tensor(rng.child(2).normal(size=(1, 4, 4, 3)), requires_grad=False)
         from swinmim.tensor import mul
@@ -212,6 +212,14 @@ class TestPretrainModel:
         model = self.small_model()
         images, masks = self.batch(model)
         loss = model.loss(images, masks)
+        assert np.isfinite(loss.item()) and loss.item() > 0
+
+    def test_single_channel_loss_finite(self):
+        # the head regresses in_channels values per pixel, not a fixed 3
+        model = MIMPretrainModel(tiny_config(in_channels=1), Rng(13), mask_spec=MaskSpec(16, 0.5))
+        assert model.head.out_channels == 1
+        images, masks = self.batch(model)
+        loss = model.loss(Tensor(images.numpy()[..., :1]), masks)
         assert np.isfinite(loss.item()) and loss.item() > 0
 
     def test_target_factor_validation(self):

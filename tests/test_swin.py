@@ -20,11 +20,10 @@ from swinmim.swin import (
     count_attention_flops,
     count_flops,
     count_params,
-    patch_merge,
     patch_partition,
+    PatchMerge,
     relative_position_index,
     shifted_window_mask,
-    _merge_concat,
 )
 from swinmim.tensor import (
     ShapeError,
@@ -111,17 +110,22 @@ class TestLinearEmbed:
         assert err < 1e-5
 
 
+def concat_only(merge):
+    """Make a PatchMerge return its 4C concat: identity norm and reduce."""
+    merge.norm = lambda x: x
+    merge.reduce = lambda x: x
+    return merge
+
+
 class TestPatchMerge:
     def test_shape_doubling(self):
         x = t32(np.zeros((2, 56, 56, 96)))
-        g, b = t32(np.ones(384)), t32(np.zeros(384))
-        w = t32(np.zeros((384, 192)))
-        assert patch_merge(x, g, b, w).shape == (2, 28, 28, 192)
+        assert PatchMerge(96, Rng(3).child(1))(x).shape == (2, 28, 28, 192)
 
     def test_fig3_toy_intermediate(self):
         # 4x4 single-channel map: the concat step groups each 2x2 patch
         x = t32(np.arange(16, dtype=np.float32).reshape(4, 4, 1))
-        mid = _merge_concat(x)
+        mid = concat_only(PatchMerge(1, Rng(3).child(2)))(x)
         assert mid.shape == (2, 2, 4)
         assert set(mid.numpy()[0, 0].ravel()) == {0.0, 1.0, 4.0, 5.0}
         assert set(mid.numpy()[1, 1].ravel()) == {10.0, 11.0, 14.0, 15.0}
@@ -135,21 +139,24 @@ class TestPatchMerge:
         expect = x.reshape(lead + (h // 2, 2, w // 2, 2, c))
         expect = expect.transpose(tuple(range(n)) + (n, n + 2, n + 1, n + 3, n + 4))
         expect = expect.reshape(lead + (h // 2, w // 2, 4 * c))
-        assert _merge_concat(t32(x)).numpy().tobytes() == expect.tobytes()
+        merge = PatchMerge(c, Rng(3).child(3))
+        # the merge is its own norm then its own reduce of the regrouped map
+        full = merge.reduce(merge.norm(t32(expect))).numpy()
+        assert merge(t32(x)).numpy().tobytes() == full.tobytes()
+        assert concat_only(merge)(t32(x)).numpy().tobytes() == expect.tobytes()
 
     def test_constant_with_averaging_weights(self):
         x = t32(np.full((4, 4, 2), 3.0))
-        g, b = t32(np.ones(8)), t32(np.zeros(8))
-        w = t32(np.full((8, 4), 0.25))
-        out = patch_merge(x, g, b, w).numpy()
+        merge = PatchMerge(2, Rng(3).child(4))
+        merge.reduce.weight.data[:] = 0.25
+        out = merge(x).numpy()
         # constant input -> layer norm gives zeros -> linear gives zeros
         assert np.allclose(out, 0.0)
         assert out.shape == (2, 2, 4)
 
     def test_odd_extent_rejected(self):
         with pytest.raises(ShapeError):
-            patch_merge(t32(np.zeros((3, 4, 2))), t32(np.ones(8)), t32(np.zeros(8)),
-                        t32(np.zeros((8, 4))))
+            PatchMerge(2, Rng(3).child(5))(t32(np.zeros((3, 4, 2))))
 
 
 class TestWindowAttention:
@@ -392,21 +399,26 @@ class TestEncoder:
     def test_sl_config_shape(self):
         enc = SwinEncoder(SL_CONFIG, Rng(10).child(0))
         x = t32(np.zeros((1, 224, 224, 3)))
-        out = enc(x)
-        assert out.final.shape == (1, 7, 7, 768)
+        assert enc(x).shape == (1, 7, 7, 768)
 
     def test_baseline_config_shape(self):
         enc = SwinEncoder(BASE_CONFIG, Rng(11).child(0))
         x = t32(np.zeros((1, 224, 224, 3)))
-        assert enc(x).final.shape == (1, 7, 7, 1024)
+        assert enc(x).shape == (1, 7, 7, 1024)
 
     def test_tiny_config_shape_ladder(self):
         cfg = tiny_config()
         enc = SwinEncoder(cfg, Rng(12).child(0))
         x = t32(Rng(12).child(1).normal(size=(2, 64, 64, 3)))
-        out = enc(x, keep_stages=True)
-        assert out.final.shape == (2, 2, 2, 128)
-        shapes = [s.shape for s in out.stages]
+        assert enc(x).shape == (2, 2, 2, 128)
+        x = enc.embed_norm(enc.embed(patch_partition(x)))
+        shapes = []
+        for merge, blocks in zip(enc.merges, enc.stages):
+            if merge is not None:
+                x = merge(x)
+            for block in blocks:
+                x = block(x)
+            shapes.append(x.shape)
         assert shapes == [(2, 16, 16, 16), (2, 8, 8, 32), (2, 4, 4, 64), (2, 2, 2, 128)]
 
     def test_wrong_input_size_rejected(self):
@@ -414,13 +426,18 @@ class TestEncoder:
         with pytest.raises(ConfigError):
             enc(t32(np.zeros((1, 32, 32, 3))))
 
+    def test_wrong_channel_count_rejected(self):
+        enc = SwinEncoder(tiny_config(in_channels=1), Rng(13).child(1))
+        with pytest.raises(ConfigError, match="3 channels != configured in_channels 1"):
+            enc(t32(np.zeros((1, 64, 64, 3))))
+
     def test_per_sample_equals_batched(self):
         cfg = tiny_config()
         enc = SwinEncoder(cfg, Rng(14).child(0))
         x = Rng(14).child(1).normal(size=(3, 64, 64, 3)).astype(np.float32)
-        batched = enc(t32(x)).final.numpy()
+        batched = enc(t32(x)).numpy()
         for i in range(3):
-            single = enc(t32(x[i:i + 1])).final.numpy()
+            single = enc(t32(x[i:i + 1])).numpy()
             assert np.array_equal(batched[i:i + 1], single)
 
     def test_forward_backward_populates_grads(self):
@@ -444,8 +461,7 @@ def split_tiny(helper_pool, monkeypatch):
 
 
 def encoder_bytes(encoder, images, token_mask=None, mask_token=None):
-    out = encoder(t32(images), token_mask=token_mask, mask_token=mask_token, keep_stages=True)
-    return [out.final.numpy().tobytes()] + [s.numpy().tobytes() for s in out.stages]
+    return encoder(t32(images), token_mask=token_mask, mask_token=mask_token).numpy().tobytes()
 
 
 def run_halves(pool):
@@ -463,8 +479,8 @@ class TestHelperThread:
         self.token = t32(rng.child(3).normal(size=(16,)))
 
     def outputs(self):
-        return (encoder_bytes(self.encoder, self.images)
-                + encoder_bytes(self.encoder, self.images, self.mask, self.token))
+        return (encoder_bytes(self.encoder, self.images),
+                encoder_bytes(self.encoder, self.images, self.mask, self.token))
 
     def test_split_forward_matches_whole_batch(self, split_tiny, monkeypatch):
         split = self.outputs()

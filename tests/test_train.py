@@ -364,22 +364,33 @@ class TestTransferLoading:
             if name in report["loaded"]:
                 assert np.array_equal(param.data, tensors[name])
 
-    def test_window_mismatch_requires_flag(self, tmp_path):
-        pre_cfg = tiny_config(window_size=2)
-        pre = MIMPretrainModel(pre_cfg, Rng(9))
+    def pretrained_tensors(self, tmp_path, **model):
+        pre = MIMPretrainModel(tiny_config(**model), Rng(9))
         path = tmp_path / "pre.sldb"
         save_model_checkpoint(path, pre, desk_config(), "pretrain", 0,
                               {"epoch": 1, "global_step": 1})
-        _, tensors = load_checkpoint(path)
+        return load_checkpoint(path)[1]
+
+    def test_window_change_remapped(self, tmp_path):
+        tensors = self.pretrained_tensors(tmp_path, window_size=2)
         clf = SwinClassifier(tiny_config(window_size=4), Rng(10))
-        with pytest.raises(CheckpointNameError) as e:
-            load_pretrained_encoder(clf, tensors, remap_window=False)
-        assert "bias_table" in str(e.value)
-        report = load_pretrained_encoder(clf, tensors, remap_window=True)
-        assert len(report["remapped"]) == sum(tiny_config().depths)
+        report = load_pretrained_encoder(clf, tensors)
+        tables = [n for n, _ in clf.named_params() if n.endswith("bias_table")]
+        assert len(tables) == sum(tiny_config().depths)
+        assert report["remapped"] == tables
+        assert not set(tables) & set(report["loaded"])
         for name, param in clf.named_params():
             if name.endswith("bias_table"):
-                assert param.data.shape == (49, param.data.shape[1])
+                expect = remap_bias_table(tensors[name], 2, 4)
+                assert param.data.tobytes() == expect.tobytes()
+
+    def test_head_count_change_rejected(self, tmp_path):
+        tensors = self.pretrained_tensors(tmp_path, heads=(2, 2, 2, 4))
+        clf = SwinClassifier(tiny_config(), Rng(10))  # heads (2, 2, 4, 4)
+        with pytest.raises(CheckpointNameError) as e:
+            load_pretrained_encoder(clf, tensors)
+        assert str(e.value).endswith("['stages.2.blocks.0.attn.bias_table', "
+                                     "'stages.2.blocks.1.attn.bias_table']")
 
 
 def micro_dataset(tmp_path, per_class=2):
