@@ -59,8 +59,7 @@ def _print_metrics(metrics):
     print(f"accuracy {metrics.accuracy:.4f}")
     print("class\tname\tprecision\trecall\tf1")
     for c in range(metrics.confusion.shape[0]):
-        name = CLASS_NAMES[c] if c < len(CLASS_NAMES) else f"class{c}"
-        print(f"c{c}\t{name}\t{metrics.precision[c]:.4f}\t{metrics.recall[c]:.4f}"
+        print(f"c{c}\t{CLASS_NAMES[c]}\t{metrics.precision[c]:.4f}\t{metrics.recall[c]:.4f}"
               f"\t{metrics.f1[c]:.4f}")
     print("confusion")
     print("\t".join(["true\\pred"] + [f"c{c}" for c in range(metrics.confusion.shape[1])]))
@@ -170,7 +169,7 @@ def cmd_count(args):
 
 def cmd_augment(args):
     cfg = _load_run_config(args)
-    index = build_index(args.data)
+    index = _load_index(args.data)
     before = index.class_counts()
     new_index = expand_dataset(index, cfg.augment, Rng(args.seed), args.out)
     after = new_index.class_counts()

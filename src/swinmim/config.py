@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin
 
 from .augment import AugmentConfig
+from .data import NUM_CLASSES
 from .mim import TARGET_FACTORS, MaskSpec
 from .swin import ConfigError, SwinConfig
 
@@ -111,6 +112,13 @@ class RunConfig:
                 section.validate()
             except ValueError as e:
                 raise ConfigError(f"{name}: {e}") from e
+        # the dataset has classes c0..c9 of RGB images, normalized by data.mean/std
+        if self.model.num_classes != NUM_CLASSES:
+            raise ConfigError(f"model.num_classes {self.model.num_classes} != "
+                              f"the dataset's {NUM_CLASSES} classes")
+        if self.model.in_channels != len(self.data.mean):
+            raise ConfigError(f"model.in_channels {self.model.in_channels} != "
+                              f"the {len(self.data.mean)} image channels of data.mean")
         return self
 
     def to_dict(self):

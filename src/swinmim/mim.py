@@ -17,7 +17,7 @@ import numpy as np
 
 from .rng import Rng
 from .swin import PATCH, Linear, SwinEncoder
-from .tensor import (Tensor, ShapeError, absolute, mul, reshape, tensor_sum, where_const,
+from .tensor import (Tensor, ShapeError, absolute, mul, reshape, sub, tensor_sum, where_const,
                      window_reverse)
 
 
@@ -155,7 +155,7 @@ def masked_l1_loss(pred, target, pixel_mask):
     count = int(pixel_mask.sum()) * pred.shape[-1]
     if count == 0:
         raise EmptyMaskError("no masked pixels: the loss is undefined")
-    diff = absolute(pred - target)
+    diff = absolute(sub(pred, target))
     weighted = mul(diff, Tensor(pixel_mask[..., None].astype(pred.data.dtype)))
     return mul(tensor_sum(weighted), 1.0 / count)
 

@@ -239,7 +239,7 @@ class WindowAttention:
             attn = add(attn, Tensor(mask[None, :, None, :, :]))
             attn = reshape(attn, (bw, h, n, n))
 
-        attn = softmax(attn, axis=-1)
+        attn = softmax(attn)
         out = matmul(attn, v)  # [bw, h, n, dk]
         out = reshape(transpose(out, (0, 2, 1, 3)), (bw, n, c))
         return self.proj(out)

@@ -82,9 +82,6 @@ class Tensor:
     def numpy(self):
         return self.data
 
-    def astype(self, dtype):
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
@@ -111,27 +108,6 @@ class Tensor:
             self.grad = g
         else:
             self.grad = g.copy()
-
-    # -- operator sugar (delegates to the functional kernels) ---------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -166,21 +142,16 @@ class Tape:
     def record(self, out, backward_fn):
         self._records.append((out, backward_fn))
 
-    def backward(self, root, seed=None):
+    def backward(self, root):
         """Replay backward rules in reverse order, filling leaf .grad fields.
 
-        `root` is usually the scalar loss; its gradient is seeded with ones
-        (or with a copy of `seed` if given). A tape may be replayed only
-        once.
+        `root` is usually the scalar loss; its gradient is seeded with ones.
+        A tape may be replayed only once.
         """
         if self._used:
             raise RuntimeError("tape already replayed; record a fresh tape")
         self._used = True
-        if seed is None:
-            seed = np.ones_like(root.data)
-        else:
-            seed = np.array(seed, dtype=root.data.dtype)
-        root.accumulate_grad(seed)
+        root.accumulate_grad(np.ones_like(root.data))
         records = self._records
         while records:
             out, fn = records.pop()
@@ -295,8 +266,9 @@ def _in_errstate(err, fn):
 def _pair(f, g, size):
     """(f(), g()), with f on the helper thread when both are given, the
     largest array holds at least _SPLIT_MIN elements and this thread runs no
-    half of batch_halves. A task given as None is skipped and yields None.
-    The caller waits for f even when g raises."""
+    half of batch_halves. f runs under the caller's np.errstate. A task
+    given as None is skipped and yields None. The caller waits for f even
+    when g raises."""
     pool = _helper(size) if f is not None and g is not None and _HALF.index is None else None
     if pool is None:
         return (None if f is None else f()), (None if g is None else g())
@@ -325,49 +297,37 @@ def _halves(n, size, fn):
         _pair(lambda: fn(0, n // 2), lambda: fn(n // 2, n), size)
 
 
-def _run_half(index, err, fn):
+def _run_half(index, fn):
+    """fn(), run as half `index` of a batch_halves call."""
     _HALF.index = index
     try:
-        return _in_errstate(err, fn)
+        return fn()
     finally:
         _HALF.index = None
 
 
 def batch_halves(n, size, fn):
-    """(fn(0, n // 2), fn(n // 2, n)), the first on the helper thread, for a
-    tape-free pass over an even batch of n items whose largest array holds at
-    least _SPLIT_MIN elements; None when there is no helper or any of that
-    does not hold, and the caller then runs the whole batch itself.
+    """(fn(0, n // 2), fn(n // 2, n)), the first on the helper thread (see
+    _pair), for a tape-free pass over an even batch of n items whose largest
+    array holds at least _SPLIT_MIN elements; None when there is no helper or
+    any of that does not hold, and the caller then runs the whole batch itself.
 
     fn(lo, hi) runs the pass on items [lo, hi); the rows of every kernel's
     arrays must come in whole items. Each half then computes every value as
     the whole batch would: the whole batch's cut at n // 2 falls on the batch
     halves, kernels below _SPLIT_MIN compute each row (a batched matmul each
     window's GEMM) on its own, and a forward linear that the whole batch
-    makes as one GEMM is made at the whole batch's height (see linear). The
-    caller waits for the helper's half even when its own half raises."""
-    if n % 2 or size < _SPLIT_MIN or _ACTIVE_TAPE is not None or _HALF.index is not None:
+    makes as one GEMM is made at the whole batch's height (see linear)."""
+    if n % 2 or _ACTIVE_TAPE is not None or _HALF.index is not None or _helper(size) is None:
         return None
-    pool = _helper(size)
-    if pool is None:
-        return None
-    err = np.geterr()
-    future = pool.submit(_run_half, 0, err, lambda: fn(0, n // 2))
-    try:
-        second = _run_half(1, err, lambda: fn(n // 2, n))
-    except BaseException:
-        wait((future,))
-        raise
-    return future.result(), second
+    return _pair(lambda: _run_half(0, lambda: fn(0, n // 2)),
+                 lambda: _run_half(1, lambda: fn(n // 2, n)), size)
 
 
 def _unbroadcast(g, shape):
-    """Sum a broadcasted gradient back down to `shape`."""
+    """Sum a gradient broadcast over leading axes back down to `shape`."""
     while g.ndim > len(shape):
         g = g.sum(axis=0)
-    for ax, s in enumerate(shape):
-        if s == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
     return g
 
 
@@ -476,20 +436,17 @@ def gelu(x):
 
 
 def matmul(a, b):
-    """Matrix product; leading batch dims broadcast as in numpy."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs rank >= 2, got {a.shape} @ {b.shape}")
+    """Batched matrix product over equal leading dims: [..., n, k] @ [..., k, m]."""
+    if a.ndim < 3 or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul needs rank >= 3 and equal leading dims: {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
     if a.data.dtype != b.data.dtype:
         raise ShapeError(f"matmul dtypes differ: {a.data.dtype} vs {b.data.dtype}")
     ad, bd = a.data, b.data
-    if ad.ndim >= 3 and ad.shape[:-2] == bd.shape[:-2]:  # numpy runs one GEMM per slice
-        y = np.empty(ad.shape[:-1] + bd.shape[-1:], ad.dtype)
-        _halves(len(ad), max(ad.size, bd.size, y.size),
-                lambda lo, hi: np.matmul(ad[lo:hi], bd[lo:hi], out=y[lo:hi]))
-    else:
-        y = np.matmul(ad, bd)
+    y = np.empty(ad.shape[:-1] + bd.shape[-1:], ad.dtype)  # numpy runs one GEMM per slice
+    _halves(len(ad), max(ad.size, bd.size, y.size),
+            lambda lo, hi: np.matmul(ad[lo:hi], bd[lo:hi], out=y[lo:hi]))
     out = Tensor(_finish(y), requires_grad=a.requires_grad or b.requires_grad)
 
     def backward(g):
@@ -501,9 +458,9 @@ def matmul(a, b):
             (lambda: np.matmul(np.swapaxes(ad, -1, -2), g)) if b.requires_grad else None,
             max(ad.size, bd.size, g.size))
         if ga is not None:
-            a.accumulate_grad(_unbroadcast(ga, ad.shape))
+            a.accumulate_grad(ga)
         if gb is not None:
-            b.accumulate_grad(_unbroadcast(gb, bd.shape))
+            b.accumulate_grad(gb)
 
     _record(out, backward)
     return out
@@ -554,28 +511,25 @@ def linear(x, weight, bias=None):
     return out
 
 
-def tensor_sum(x, axis=None, keepdims=False):
-    out = Tensor(_finish(x.data.sum(axis=axis, keepdims=keepdims)), requires_grad=x.requires_grad)
+def tensor_sum(x):
+    """Sum of every element."""
+    out = Tensor(_finish(x.data.sum()), requires_grad=x.requires_grad)
 
     def backward(g):
-        if axis is not None and not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            g = np.expand_dims(g, axes)
         x.accumulate_grad(np.broadcast_to(g, x.data.shape))
 
     _record(out, backward)
     return out
 
 
-def tensor_mean(x, axis=None, keepdims=False):
-    n = x.data.size if axis is None else np.prod(
-        [x.data.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    out = Tensor(_finish(x.data.mean(axis=axis, keepdims=keepdims)), requires_grad=x.requires_grad)
+def tensor_mean(x, axis=None):
+    """Mean over `axis` (an int or a tuple of ints), or over every element."""
+    axes = None if axis is None else (axis if isinstance(axis, tuple) else (axis,))
+    n = x.data.size if axes is None else np.prod([x.data.shape[a] for a in axes])
+    out = Tensor(_finish(x.data.mean(axis=axis)), requires_grad=x.requires_grad)
 
     def backward(g):
-        if axis is not None and not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
+        if axes is not None:
             g = np.expand_dims(g, axes)
         x.accumulate_grad(np.broadcast_to(g, x.data.shape) / n)
 
@@ -588,10 +542,8 @@ def tensor_mean(x, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 
 
-def softmax(x, axis=-1):
+def softmax(x):
     """Numerically stabilized softmax along the last axis; rows sum to 1."""
-    if axis not in (-1, x.ndim - 1):
-        raise ShapeError(f"softmax runs along the last axis, got axis {axis} of rank {x.ndim}")
     d = x.shape[-1]
     x2 = x.data.reshape(-1, d)
     s = np.empty_like(x2)
@@ -623,14 +575,15 @@ def softmax(x, axis=-1):
     return out
 
 
-def log_softmax(x, axis=-1):
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def log_softmax(x):
+    """Log of the softmax along the last axis."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = Tensor(_finish(shifted - log_z), requires_grad=x.requires_grad)
     s = np.exp(shifted - log_z)
 
     def backward(g):
-        x.accumulate_grad(g - s * g.sum(axis=axis, keepdims=True))
+        x.accumulate_grad(g - s * g.sum(axis=-1, keepdims=True))
 
     _record(out, backward)
     return out

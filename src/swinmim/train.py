@@ -160,7 +160,7 @@ def make_schedule(optim_cfg, sched_cfg, total_steps):
 
 def soft_cross_entropy(logits, labels):
     """Mean over the batch of -sum_c y_c log softmax(logits)_c."""
-    ls = log_softmax(logits, axis=-1)
+    ls = log_softmax(logits)
     weighted = mul(ls, Tensor(np.asarray(labels, dtype=logits.data.dtype)))
     return mul(tensor_sum(weighted), -1.0 / logits.shape[0])
 

@@ -175,6 +175,27 @@ class TestMixBatch:
             for row in out_l:
                 assert_soft_label(row)
 
+    @pytest.mark.parametrize("strategy", ["cutmix", "mixup"])
+    def test_one_strategy_every_batch(self, strategy):
+        """With one strategy enabled, every batch uses it and draws no coin:
+        each output row is that strategy against the shuffled partner."""
+        rng = Rng(17)
+        images = rng.child(0).uniform(size=(4, 8, 8, 3)).astype(np.float32)
+        labels = one_hot([0, 1, 2, 3])
+        cfg = AugmentConfig(**{strategy: True})
+        for step in range(8):
+            out_i, out_l, name = mix_batch(images, labels, cfg, rng.child(1, step))
+            assert name == strategy
+            replay = rng.child(1, step)
+            partner = replay.permutation(4)
+            lam = sample_lambda(cfg.alpha, replay)
+            for i, j in enumerate(partner):
+                a, b = (images[i], labels[i]), (images[j], labels[j])
+                img, label = (cutmix(a, b, lam, replay)[:2] if strategy == "cutmix"
+                              else mixup(a, b, lam))
+                assert np.array_equal(out_i[i], img.astype(out_i.dtype))
+                assert np.array_equal(out_l[i], label.astype(out_l.dtype))
+
     def test_disabled_passthrough(self):
         images = np.zeros((2, 8, 8, 3), np.float32)
         labels = one_hot([0, 1])

@@ -108,6 +108,13 @@ class TestCount:
         assert err.startswith("error:") and "train.batch_size" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("override", ["model.num_classes=5", "model.in_channels=1"])
+    def test_unfed_class_or_channel_count_exit_2(self, tiny_config_path, override, capsys):
+        assert main(["count", "--config", tiny_config_path, "--override", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {override.split('=')[0]} ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("override", ["mask_in_finetune=1", "epochs=2.5",
                                           "optimizer.base_lr=true", "data.mean=0.5",
                                           "model.depths=\"2\"", 'data.mean=["a","b","c"]'])
@@ -205,7 +212,8 @@ class TestPretrainCommand:
                      "--out", str(tmp_path / "o"), "--override", "model.in_channels=1"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err == "error: input has 3 channels != configured in_channels 1\n"
+        assert err == "error: model.in_channels 1 != the 3 image channels of data.mean\n"
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_override_exit_2(self, tiny_config_path, micro_root, tmp_path):
         code = main(["pretrain", "--config", tiny_config_path, "--data", micro_root,
@@ -336,6 +344,13 @@ class TestFinetuneEval:
             assert pre[name].shape == (9, ft[name].shape[1])
             assert ft[name].shape == (49, pre[name].shape[1])
 
+    def test_class_count_mismatch_exit_2(self, tiny_config_path, micro_root, tmp_path, capsys):
+        code = main(["finetune", "--config", tiny_config_path, "--data", micro_root,
+                     "--out", str(tmp_path / "ft"), "--override", "model.num_classes=5"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: model.num_classes 5 != the dataset's 10 classes\n"
+        assert not (tmp_path / "ft").exists()
+
     def test_head_count_change_exit_2(self, micro_root, tmp_path, capsys):
         code = self.pretrain_then_finetune(micro_root, tmp_path, {"heads": [2, 2, 2, 4]})
         assert code == 2
@@ -368,6 +383,19 @@ class TestMaskSweep:
         direct_acc = [l for l in direct_out.splitlines() if l.startswith("accuracy ")][0]
         sweep_acc = float(rows[0][2])
         assert np.isclose(float(direct_acc.split()[1]), sweep_acc, atol=5e-5)
+
+    def test_failing_cell_recorded_as_nan_exit_1(self, micro_root, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(TINY))
+        code = main(["mask-sweep", "--config", str(cfg_path), "--data", micro_root,
+                     "--out", str(tmp_path / "sweep"), "--patch-sizes", "6,16",
+                     "--ratios", "0.5"])
+        assert code == 1
+        assert "# cell patch=6 ratio=0.5 failed: " in capsys.readouterr().err
+        _, rows = read_tsv_log(tmp_path / "sweep" / "sweep.tsv")
+        accuracy = {r[0]: float(r[2]) for r in rows}
+        assert accuracy.keys() == {"6", "16"}
+        assert np.isnan(accuracy["6"]) and np.isfinite(accuracy["16"])
 
     def test_grid_shape_three_by_three(self, micro_root, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -430,3 +458,13 @@ class TestAugmentCommand:
         for line in capsys.readouterr().out.splitlines()[1:11]:
             _, before, after = line.split("\t")
             assert before == after
+
+    def test_no_images_exit_2(self, tiny_config_path, tmp_path, capsys):
+        root = tmp_path / "empty"
+        for c in range(10):
+            (root / f"c{c}").mkdir(parents=True)
+        code = main(["augment", "--config", tiny_config_path, "--data", str(root),
+                     "--out", str(tmp_path / "aug")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: no .ppm images under {root}\n"
+        assert not (tmp_path / "aug").exists()

@@ -205,7 +205,7 @@ class TestWindowAttention:
         k = np.array([[2.0, 0.0], [0.0, 2.0]])
         v = np.array([[1.0], [3.0]])
         logits = (q @ k.T) / np.sqrt(2.0)
-        w = softmax(Tensor(logits, dtype=np.float64), axis=-1).numpy()
+        w = softmax(Tensor(logits, dtype=np.float64)).numpy()
         mix = w @ v
         a = np.exp(2 / np.sqrt(2)) / (np.exp(2 / np.sqrt(2)) + 1)
         assert np.allclose(mix, a * 1.0 + (1 - a) * 3.0)
@@ -256,7 +256,7 @@ class TestShiftedWindowMask:
         size, window, shift = 8, 4, 2
         mask = shifted_window_mask(size, size, window, shift, np.float64)
         logits = Rng(5).child(0).normal(size=mask.shape)
-        weights = softmax(Tensor(logits + mask, dtype=np.float64), axis=-1).numpy()
+        weights = softmax(Tensor(logits + mask, dtype=np.float64)).numpy()
         blocked = mask != 0
         assert weights[blocked].max() < 1e-30
         assert np.allclose(weights.sum(axis=-1), 1.0)
@@ -455,17 +455,22 @@ class TestEncoder:
 def split_tiny(helper_pool, monkeypatch):
     """A helper thread, and a split threshold at which a tiny-config encoder
     splits at B=4: its stage-0 kernels are above it and the stage-1 proj
-    linear, made as one GEMM by the whole batch, is below it."""
+    linear, made as one GEMM by the whole batch, is below it. The pool's
+    `halves` lists (index, ran on the helper) for each batch half run."""
     monkeypatch.setattr(tensor_mod, "_SPLIT_MIN", 1 << 14)
+    run, helper_pool.halves = tensor_mod._run_half, []
+
+    def recorded(index, fn):
+        on_helper = threading.current_thread() is not threading.main_thread()
+        helper_pool.halves.append((index, on_helper))
+        return run(index, fn)
+
+    monkeypatch.setattr(tensor_mod, "_run_half", recorded)
     return helper_pool
 
 
 def encoder_bytes(encoder, images, token_mask=None, mask_token=None):
     return encoder(t32(images), token_mask=token_mask, mask_token=mask_token).numpy().tobytes()
-
-
-def run_halves(pool):
-    return sum(fn is tensor_mod._run_half for fn in pool.submitted)
 
 
 class TestHelperThread:
@@ -485,7 +490,7 @@ class TestHelperThread:
     def test_split_forward_matches_whole_batch(self, split_tiny, monkeypatch):
         split = self.outputs()
         assert split_tiny.tasks == 2  # one batch half per forward, nothing else
-        assert run_halves(split_tiny) == 2
+        assert sorted(split_tiny.halves) == [(0, True), (0, True), (1, False), (1, False)]
         monkeypatch.setattr(swin_mod, "batch_halves", lambda n, size, fn: None)
         assert self.outputs() == split
         assert split_tiny.tasks > 2  # the whole batch split its large kernels instead
@@ -505,7 +510,7 @@ class TestHelperThread:
         else:
             self.encoder(t32(images), training=case == "training")
         assert split_tiny.tasks > 0  # large kernels still split
-        assert run_halves(split_tiny) == 0
+        assert split_tiny.halves == []
 
     @pytest.mark.parametrize("raising", ["helper", "caller"])
     def test_error_in_either_half_propagates(self, split_tiny, monkeypatch, raising):
@@ -535,7 +540,7 @@ class TestHelperThread:
 
         monkeypatch.setattr(SwinBlock, "__call__", traced)
         self.outputs()
-        assert run_halves(split_tiny) == 0
+        assert split_tiny.halves == []
 
 
 class TestConfigValidation:

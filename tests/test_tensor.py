@@ -53,34 +53,40 @@ def t64(arr, grad=True):
 
 class TestMatmul:
     def test_identity(self):
-        m = t64([[3.0, -1.0], [2.5, 7.0]], grad=False)
-        eye = t64(np.eye(2), grad=False)
+        m = t64([[[3.0, -1.0], [2.5, 7.0]]], grad=False)
+        eye = t64(np.eye(2)[None], grad=False)
         assert np.array_equal(matmul(eye, m).numpy(), m.numpy())
 
     def test_hand_product(self):
-        a = t64([[1.0, 2.0], [3.0, 4.0]], grad=False)
-        b = t64([[5.0], [6.0]], grad=False)
-        assert matmul(a, b).numpy().tolist() == [[17.0], [39.0]]
+        a = t64([[[1.0, 2.0], [3.0, 4.0]]], grad=False)
+        b = t64([[[5.0], [6.0]]], grad=False)
+        assert matmul(a, b).numpy().tolist() == [[[17.0], [39.0]]]
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            matmul(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
+            matmul(t64(np.ones((1, 2, 3))), t64(np.ones((1, 2, 3))))
+
+    @pytest.mark.parametrize("a_shape,b_shape", [((2, 3), (3, 2)), ((2, 2, 3), (1, 3, 2)),
+                                                 ((2, 2, 3), (3, 2)), ((1, 2, 2, 3), (2, 3, 2))])
+    def test_needs_equal_leading_dims(self, a_shape, b_shape):
+        with pytest.raises(ShapeError, match="equal leading dims"):
+            matmul(t64(np.ones(a_shape)), t64(np.ones(b_shape)))
 
     def test_dtype_mismatch(self):
-        a = Tensor(np.ones((2, 2), np.float32))
-        b = Tensor(np.ones((2, 2), np.float64))
+        a = Tensor(np.ones((1, 2, 2), np.float32))
+        b = Tensor(np.ones((1, 2, 2), np.float64))
         with pytest.raises(ShapeError):
             matmul(a, b)
 
     def test_grad_of_sum_is_ones_times_bt(self):
         rng = Rng(0)
-        a = t64(rng.child(0).normal(size=(3, 4)))
-        b = t64(rng.child(1).normal(size=(4, 2)), grad=False)
+        a = t64(rng.child(0).normal(size=(1, 3, 4)))
+        b = t64(rng.child(1).normal(size=(1, 4, 2)), grad=False)
         with Tape() as tape:
             y = tensor_sum(matmul(a, b))
         tape.backward(y)
-        expected = np.ones((3, 2)) @ b.numpy().T
-        assert np.allclose(a.grad, expected, rtol=1e-12)
+        expected = np.ones((3, 2)) @ b.numpy()[0].T
+        assert np.allclose(a.grad[0], expected, rtol=1e-12)
         a2 = t64(a.numpy())
         err = grad_check(lambda x: tensor_sum(matmul(x, b)), a2)
         assert err < 1e-6
@@ -96,25 +102,25 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_single_element_axis(self):
-        out = softmax(t64([[4.2]], grad=False), axis=-1)
+        out = softmax(t64([[4.2]], grad=False))
         assert out.numpy().tolist() == [[1.0]]
 
     def test_equal_logits(self):
-        out = softmax(t64([1.0, 1.0, 1.0, 1.0], grad=False), axis=0)
+        out = softmax(t64([1.0, 1.0, 1.0, 1.0], grad=False))
         assert np.allclose(out.numpy(), 0.25)
 
     def test_hand_values(self):
-        out = softmax(t64([0.0, math.log(3.0)], grad=False), axis=0)
+        out = softmax(t64([0.0, math.log(3.0)], grad=False))
         assert np.allclose(out.numpy(), [0.25, 0.75], atol=1e-12)
 
     def test_slices_sum_to_one(self):
         x = t64(Rng(2).child(0).normal(std=5.0, size=(4, 7)), grad=False)
-        out = softmax(x, axis=1).numpy()
+        out = softmax(x).numpy()
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-6)
         assert (out >= 0).all()
 
     def test_large_logits_stable(self):
-        out = softmax(t64([1000.0, 1000.0], grad=False), axis=0).numpy()
+        out = softmax(t64([1000.0, 1000.0], grad=False)).numpy()
         assert np.allclose(out, 0.5)
 
 
@@ -353,10 +359,10 @@ class TestTape:
     def test_determinism_bitwise(self):
         def run():
             rng = Rng(9)
-            x = t64(rng.child(0).normal(size=(4, 4)))
-            w = t64(rng.child(1).normal(size=(4, 4)))
+            x = t64(rng.child(0).normal(size=(1, 4, 4)))
+            w = t64(rng.child(1).normal(size=(1, 4, 4)))
             with Tape() as tape:
-                y = tensor_sum(softmax(matmul(x, w), axis=-1))
+                y = tensor_sum(softmax(matmul(x, w)))
             tape.backward(y)
             return y.numpy().copy(), x.grad.copy()
 
@@ -372,12 +378,12 @@ class TestTapeMemoryContract:
 
     def test_tape_released_and_only_leaves_keep_grad(self):
         rng = Rng(31)
-        x = t64(rng.child(0).normal(size=(4, 3)))
-        w = t64(rng.child(1).normal(size=(4, 5)))
+        x = t64(rng.child(0).normal(size=(1, 4, 3)))
+        w = t64(rng.child(1).normal(size=(1, 4, 5)))
         with Tape() as tape:
-            xt = transpose(x, (1, 0))
+            xt = transpose(x, (0, 2, 1))
             h = matmul(xt, w)
-            s = softmax(h, axis=-1)
+            s = softmax(h)
             y = tensor_sum(mul(s, s))
         assert len(tape) == 5
         tape.backward(y)
@@ -413,25 +419,6 @@ class TestTapeMemoryContract:
             for n2, g2 in grads[i + 1:]:
                 assert not np.shares_memory(g1, g2), (n1, n2)
 
-    def test_seed_not_adopted(self):
-        x = t64([1.0, 2.0])
-        with Tape() as tape:
-            y = mul(x, 3.0)
-        seed = np.array([1.0, -1.0])
-        tape.backward(y, seed=seed)
-        assert np.array_equal(seed, [1.0, -1.0])
-        assert np.array_equal(x.grad, [3.0, -3.0])
-        assert not np.shares_memory(x.grad, seed)
-
-        leaf = t64([5.0, 6.0])
-        seed = np.array([2.0, 2.0])
-        with Tape() as tape:
-            pass
-        tape.backward(leaf, seed=seed)
-        assert not np.shares_memory(leaf.grad, seed)
-        leaf.grad += 1.0
-        assert np.array_equal(seed, [2.0, 2.0])
-
 
 def paper_shaped_ops():
     """Linear, layer_norm, gelu, matmul and softmax on arrays above the split
@@ -455,7 +442,7 @@ def paper_shaped_ops():
         ln = layer_norm(lin, gam, bet)
         h = gelu(ln)
         scores = matmul(q, k)
-        a = softmax(scores, axis=-1)
+        a = softmax(scores)
         loss = add(tensor_sum(mul(h, Tensor(probe_h))), tensor_sum(mul(a, Tensor(probe_a))))
     tape.backward(loss)
     kernel = [lin.data.tobytes(), scores.data.tobytes(), h.data.tobytes(), a.data.tobytes()]
@@ -660,11 +647,11 @@ class TestDebugChecks:
 
 
 KERNELS = {
-    "matmul": lambda x, aux: tensor_sum(matmul(x, aux["b"])),
+    "matmul": lambda x, aux: tensor_sum(matmul(reshape(x, (1, 4, 4)), aux["b"])),
     "linear": lambda x, aux: tensor_sum(linear(x, aux["w"], aux["bias"])),
     "linear_weight": lambda w, aux: tensor_sum(linear(aux["x"], w, aux["bias"])),
-    "softmax": lambda x, aux: tensor_sum(mul(softmax(x, axis=-1), aux["probe"])),
-    "log_softmax": lambda x, aux: tensor_sum(mul(log_softmax(x, axis=-1), aux["probe"])),
+    "softmax": lambda x, aux: tensor_sum(mul(softmax(x), aux["probe"])),
+    "log_softmax": lambda x, aux: tensor_sum(mul(log_softmax(x), aux["probe"])),
     "layer_norm": lambda x, aux: tensor_sum(mul(layer_norm(x, aux["g"], aux["be"]), aux["probe"])),
     "layer_norm_gamma": lambda g, aux: tensor_sum(mul(layer_norm(aux["x4"], g, aux["be"]), aux["probe"])),
     "gelu": lambda x, aux: tensor_sum(mul(gelu(x), aux["probe"])),
@@ -693,7 +680,7 @@ def test_kernel_grad_check(name, seed):
     rng = Rng(100 + seed)
     x = t64(rng.child(0).normal(size=(4, 4)))
     aux = {
-        "b": t64(rng.child(1).normal(size=(4, 4)), grad=False),
+        "b": t64(rng.child(1).normal(size=(1, 4, 4)), grad=False),
         "w": t64(rng.child(2).normal(size=(4, 3)), grad=False),
         "bias": t64(rng.child(3).normal(size=3), grad=False),
         "x": t64(rng.child(4).normal(size=(5, 4)), grad=False),
@@ -727,7 +714,7 @@ class TestGradCheckOracle:
 
     def test_softmax_conservation(self):
         x = t64(Rng(11).child(1).normal(size=(2, 5)))
-        err = grad_check(lambda v: tensor_sum(softmax(v, axis=-1)), x)
+        err = grad_check(lambda v: tensor_sum(softmax(v)), x)
         assert err < 1e-8
 
     def test_requires_float64(self):
