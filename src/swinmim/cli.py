@@ -81,9 +81,14 @@ def cmd_finetune(args):
     train_idx, eval_idx = split_dataset(index, cfg.data.train_fraction, args.seed)
     os.makedirs(args.out, exist_ok=True)
     write_split_manifest(os.path.join(args.out, "split.tsv"), train_idx, eval_idx)
+
+    def warm_start(report):
+        print(f"warm start from {args.init_from}: " + ", ".join(
+            f"{len(report[kind])} {kind}" for kind in ("loaded", "remapped", "fresh")))
+
     _, metrics, ckpt = run_finetune(
         cfg, train_idx, eval_idx, args.out, seed=args.seed,
-        init_checkpoint=args.init_from, resume=args.resume,
+        init_checkpoint=args.init_from, resume=args.resume, on_warm_start=warm_start,
     )
     _print_metrics(metrics)
     print(f"finetune done: checkpoint at {ckpt}")

@@ -38,7 +38,12 @@ from .tensor import (
 )
 
 PATCH = 4  # input patch edge in pixels; one token per 4x4 pixel block
-ATTN_MASK_FILL = -100.0  # additive stand-in for -inf before softmax
+# Additive stand-in for -inf before softmax. It must stay finite (debug checks
+# assert finite kernel outputs), and exp of a masked score must underflow to
+# +0 in float32 and float64: a fill of -100 left e^-100, a float32 subnormal
+# that slowed every kernel reading the probabilities (single-core attn @ v
+# at 192px: 16.3 ms subnormal vs 1.5 ms flushed), with the same outputs.
+ATTN_MASK_FILL = -1e9
 
 
 class ConfigError(ValueError):
@@ -211,8 +216,16 @@ class WindowAttention:
         )
         self.rel_index = relative_position_index(window).reshape(-1)
 
-    def __call__(self, x, mask=None):
-        """x: [num_windows_total, M*M, dim]; mask: [num_windows, M*M, M*M]."""
+    def position_bias(self):
+        """The learned pairwise position bias of every head, [heads, M*M, M*M];
+        it depends only on parameters."""
+        n = self.window * self.window
+        bias = gather_rows(self.bias_table, self.rel_index)  # [n*n, heads]
+        return transpose(reshape(bias, (n, n, self.num_heads)), (2, 0, 1))
+
+    def __call__(self, x, mask=None, bias=None):
+        """x: [num_windows_total, M*M, dim]; mask: [num_windows, M*M, M*M];
+        bias: position_bias(), computed here when not given."""
         bw, n, c = x.shape
         if n != self.window * self.window:
             raise ShapeError(f"window token count {n} != {self.window}^2")
@@ -228,9 +241,7 @@ class WindowAttention:
         q = mul(q, 1.0 / math.sqrt(dk))
         attn = matmul(q, transpose(k, (0, 1, 3, 2)))  # [bw, h, n, n]
 
-        bias = gather_rows(self.bias_table, self.rel_index)  # [n*n, heads]
-        bias = transpose(reshape(bias, (n, n, h)), (2, 0, 1))  # [h, n, n]
-        attn = add(attn, bias)
+        attn = add(attn, self.position_bias() if bias is None else bias)
 
         if mask is not None:
             nw = mask.shape[0]
@@ -276,12 +287,12 @@ class SwinBlock:
         mask = shifted_window_mask(hp, wp, m, shift, np.dtype(dtype).type) if shift else None
         return window_index(height, width, m, shift) + (mask,)
 
-    def __call__(self, x, training=False, rng=None):
-        """x: [B, H, W, C] -> same shape."""
+    def __call__(self, x, training=False, rng=None, bias=None):
+        """x: [B, H, W, C] -> same shape; bias: attn.position_bias() or None."""
         _, h, w, c = x.shape
         index, inverse, mask = self._layout(h, w, x.dtype)
         windows = take_tokens(self.norm1(x), index, inverse, (-1, self.window ** 2, c))
-        t = take_tokens(self.attn(windows, mask), inverse, index, x.shape)
+        t = take_tokens(self.attn(windows, mask, bias), inverse, index, x.shape)
         x = add(x, drop_path(t, self.drop_path_rate, rng, training))
 
         t = self.fc2(gelu(self.fc1(self.norm2(x))))
@@ -361,9 +372,11 @@ class SwinEncoder:
         images: Tensor [B, H, W, in_channels] with H == W == config.img_size.
         token_mask: optional bool array [B, H/4, W/4]; masked positions are
         replaced by `mask_token` right after the embedding norm.
-        A tape-free eval forward of a large even batch runs as two
-        half-batch forwards, one per thread (tensor.batch_halves), with the
-        same output bytes.
+        A forward of a large even batch runs as two half-batch forwards, one
+        per thread (tensor.batch_halves), with the same output bytes and,
+        under a tape, the same gradient bytes. Each block's position bias
+        depends only on parameters: it is made once, before the halves, and
+        its backward runs once, on the gradient both halves summed.
         """
         if images.ndim != 4:
             raise ShapeError(f"expected [B,H,W,C] images, got {images.shape}")
@@ -376,31 +389,34 @@ class SwinEncoder:
             raise ConfigError(f"input has {images.shape[3]} channels "
                               f"!= configured in_channels {self.config.in_channels}")
         b = images.shape[0]
+        biases = [[block.attn.position_bias() for block in blocks] for blocks in self.stages]
         embedded = b * self.config.stage_resolution(0) ** 2 * self.config.embed_dim
-        halves = None
-        if not training and (token_mask is None or len(token_mask) == b) and not _wrapped_calls():
-            halves = batch_halves(b, embedded, lambda lo, hi: self._forward(
+        out = None
+        # stochastic depth draws over the whole batch, and the halves take no
+        # gradient to the images
+        if (not (training and self.config.drop_path > 0) and not images.requires_grad
+                and (token_mask is None or len(token_mask) == b) and not _wrapped_calls()):
+            out = batch_halves(b, embedded, lambda lo, hi: self._forward(
                 Tensor(images.data[lo:hi]), None if token_mask is None else token_mask[lo:hi],
-                mask_token, False, None))
-        if halves is None:
-            return self._forward(images, token_mask, mask_token, training, rng)
-        first, second = halves
-        return Tensor(np.concatenate([first.data, second.data]), requires_grad=first.requires_grad)
+                mask_token, biases, training, rng))
+        if out is None:
+            out = self._forward(images, token_mask, mask_token, biases, training, rng)
+        return out
 
     __call__ = forward
 
-    def _forward(self, images, token_mask, mask_token, training, rng):
+    def _forward(self, images, token_mask, mask_token, biases, training, rng):
         x = patch_partition(images)
         x = self.embed_norm(self.embed(x))
         if token_mask is not None:
             from .mim import apply_mask  # local import; mim depends on swin
 
             x = apply_mask(x, token_mask, mask_token)
-        for merge, blocks in zip(self.merges, self.stages):
+        for merge, blocks, stage_biases in zip(self.merges, self.stages, biases):
             if merge is not None:
                 x = merge(x)
-            for block in blocks:
-                x = block(x, training=training, rng=rng)
+            for block, bias in zip(blocks, stage_biases):
+                x = block(x, training=training, rng=rng, bias=bias)
         return self.norm(x)
 
     def named_params(self):

@@ -13,10 +13,14 @@ Large kernels run as two halves (`_pair`, `_halves`), the first on one
 helper thread when this process may use two CPUs. Large work is always cut
 into the same two calls, helper or not, so every element, row and GEMM is
 computed by the same call either way and results do not depend on it.
-A tape-free batched pass can instead run as two half-batch passes
-(`batch_halves`), one per thread, that make the same kernel calls.
+A batched pass can instead run as two half-batch passes (`batch_halves`),
+one per thread, that make the same kernel calls. Under a tape each half
+records on a tape of its own; their backward passes run at the same time
+and meet for every gradient that sums over the batch's rows, which is then
+made by one call over both halves' rows (`_Meet`).
 """
 
+import collections
 import ctypes
 import functools
 import math
@@ -114,7 +118,8 @@ class Tape:
     """Ordered record of executed ops; single-use reverse replay.
 
     Use as a context manager around the forward pass, then call
-    `backward(loss)`. Ops executed while no tape is active are not recorded
+    `backward(loss)`. A tape is active on the thread that entered it: ops
+    executed while no tape is active on their thread are not recorded
     (inference mode). Backward releases each record, with the arrays its
     closure saved and its output's .grad, as soon as its rule has run, so
     afterwards the tape is empty and only leaves keep a .grad.
@@ -126,14 +131,12 @@ class Tape:
         self._prev = None
 
     def __enter__(self):
-        global _ACTIVE_TAPE
-        self._prev = _ACTIVE_TAPE
-        _ACTIVE_TAPE = self
+        self._prev = _THREAD.tape
+        _THREAD.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = self._prev
+        _THREAD.tape = self._prev
         return False
 
     def __len__(self):
@@ -142,16 +145,16 @@ class Tape:
     def record(self, out, backward_fn):
         self._records.append((out, backward_fn))
 
-    def backward(self, root):
+    def backward(self, root, grad=None):
         """Replay backward rules in reverse order, filling leaf .grad fields.
 
-        `root` is usually the scalar loss; its gradient is seeded with ones.
-        A tape may be replayed only once.
+        `root` is usually the scalar loss; its gradient `grad` defaults to
+        ones. A tape may be replayed only once.
         """
         if self._used:
             raise RuntimeError("tape already replayed; record a fresh tape")
         self._used = True
-        root.accumulate_grad(np.ones_like(root.data))
+        root.accumulate_grad(np.ones_like(root.data) if grad is None else grad)
         records = self._records
         while records:
             out, fn = records.pop()
@@ -160,12 +163,19 @@ class Tape:
                 out.grad = None
 
 
-_ACTIVE_TAPE = None
+class _Thread(threading.local):
+    tape = None  # the Tape this thread's ops record on
+    half = None  # 0 or 1 while this thread runs that half of a batch_halves call
+    meet = None  # that call's _Meet when it runs under a tape
+
+
+_THREAD = _Thread()
 
 
 def _record(out, backward_fn):
-    if _ACTIVE_TAPE is not None and out.requires_grad:
-        _ACTIVE_TAPE.record(out, backward_fn)
+    tape = _THREAD.tape
+    if tape is not None and out.requires_grad:
+        tape.record(out, backward_fn)
 
 
 def _finish(arr):
@@ -186,11 +196,12 @@ def _as_tensor(x, like):
 
 # Work whose largest array holds fewer elements than this runs as one call on
 # the calling thread; larger work always runs as the same two calls, helper or
-# not: forward linear by row halves, a same-batch matmul by halves of its
-# leading axis (the windows), GELU / softmax / layer norm forward and backward
-# by element or row halves, AdamW by row halves, and linear and matmul
-# backward as their two GEMMs. One hand-off to the helper (submit, run a
-# no-op under the caller's errstate, wait for it) measured about 50 us on a
+# not: linear forward and its dx by row halves, a same-batch matmul by halves
+# of its leading axis (the windows), GELU / softmax / layer norm forward and
+# backward by element or row halves, AdamW by row halves, linear backward as
+# dW beside dx and matmul backward as its two GEMMs. One hand-off to the
+# helper (submit, run a no-op under the caller's errstate, wait for it)
+# measured about 50 us on a
 # 2-core x86_64 host (Xeon, numpy 2.4.6), and the cheapest chains split here
 # (softmax, layer norm) cost about 6 ns per element, so a split pays for its
 # hand-off from about 2**14 elements. The threshold sits at the first power
@@ -202,11 +213,10 @@ _SPLIT_MIN = 1 << 19
 
 # One helper thread, made on first use when this process may run on at least
 # two CPUs; False when it may not. A task never submits another one. Kernel
-# halves (`_pair`, `_halves`) call only numpy and scipy and write their
-# results into arrays the caller allocated (disjoint slices, or a GEMM's
-# out=). The first half of `batch_halves` runs a tape-free pass of this
-# package: it makes Tensors and allocates. Making the pool caps glibc at one
-# malloc arena, so the helper's arrays come from the caller's arena; an
+# halves (`_pair`, `_halves`) call only numpy and scipy; the first half of
+# `batch_halves` runs a pass of this package, and under a tape its backward,
+# and makes Tensors and arrays. Making the pool caps glibc at one malloc
+# arena, so the helper's arrays come from the caller's arena; an
 # arena of the helper's own keeps its pages resident (pretrain-192 peak RSS
 # 1185 MB uncapped, 1152 MB capped).
 _POOL = None
@@ -251,13 +261,6 @@ def _helper(size):
     return _POOL or None
 
 
-class _Half(threading.local):
-    index = None  # 0 or 1 while this thread runs that half of a batch_halves call
-
-
-_HALF = _Half()
-
-
 def _in_errstate(err, fn):
     with np.errstate(**err):
         return fn()
@@ -269,7 +272,7 @@ def _pair(f, g, size):
     half of batch_halves. f runs under the caller's np.errstate. A task
     given as None is skipped and yields None. The caller waits for f even
     when g raises."""
-    pool = _helper(size) if f is not None and g is not None and _HALF.index is None else None
+    pool = _helper(size) if f is not None and g is not None and _THREAD.half is None else None
     if pool is None:
         return (None if f is None else f()), (None if g is None else g())
     future = pool.submit(_in_errstate, np.geterr(), f)
@@ -281,47 +284,190 @@ def _pair(f, g, size):
     return future.result(), b
 
 
-def _halves(n, size, fn):
-    """fn(0, n) for work below _SPLIT_MIN; from there on always the two calls
-    fn(0, n // 2) and fn(n // 2, n), the first on the helper thread when there
-    is one. fn writes only rows [lo, hi). Within a half of batch_halves it is
-    always the one call fn(0, n).
+def _cuts(n, size):
+    """The row ranges [lo, hi) of the calls that make work over n rows:
+    (0, n) below _SPLIT_MIN, from there on always (0, n // 2) and (n // 2, n).
+    Within a half of batch_halves it is always the one range (0, n).
 
     The cut depends only on n and size, never on the helper, so a GEMM cut by
     rows makes the same BLAS calls with the helper on and off. (A BLAS may
     block a GEMM differently by its row count, so one call over all rows and
     two calls over halves need not give the same bytes.)"""
-    if n < 2 or size < _SPLIT_MIN or _HALF.index is not None:
-        fn(0, n)
+    if n < 2 or size < _SPLIT_MIN or _THREAD.half is not None:
+        return ((0, n),)
+    return (0, n // 2), (n // 2, n)
+
+
+def _halves(n, size, fn):
+    """fn(lo, hi) for each range of _cuts(n, size); of two calls, the first
+    runs on the helper thread when there is one. fn writes only rows [lo, hi)."""
+    first, *rest = _cuts(n, size)
+    if not rest:
+        fn(*first)
     else:
-        _pair(lambda: fn(0, n // 2), lambda: fn(n // 2, n), size)
+        _pair(lambda: fn(*first), lambda: fn(*rest[0]), size)
 
 
-def _run_half(index, fn):
-    """fn(), run as half `index` of a batch_halves call."""
-    _HALF.index = index
+def _row_product(a, b, on_caller=False):
+    """a @ b for a stack of rows a [n, k], made by the GEMMs that the whole
+    batch makes: one per range of _cuts, the first on the helper thread
+    unless `on_caller`. Within a half of batch_halves the whole batch has
+    twice these rows; a product that it makes as one GEMM is made at its
+    height, with this half's rows in place and zero rows for the other
+    half's, since a BLAS may give a row another value in a GEMM over fewer
+    rows. This half's rows are copied out, so that a tape keeping the
+    result does not keep the other half's rows too."""
+    rows, half = len(a), _THREAD.half
+    height = rows if half is None else 2 * rows
+    size = max(height * a.shape[1], height * b.shape[1], b.size)
+    if half is not None and size < _SPLIT_MIN:
+        whole = np.zeros((height, a.shape[1]), a.dtype)
+        whole[half * rows:(half + 1) * rows] = a
+        return np.matmul(whole, b)[half * rows:(half + 1) * rows].copy()
+    out = np.empty((rows, b.shape[1]), np.result_type(a, b))
+
+    def fill(lo, hi):
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+
+    if on_caller:
+        for lo, hi in _cuts(rows, size):
+            fill(lo, hi)
+    else:
+        _halves(rows, size, fill)
+    return out
+
+
+class _Meet:
+    """Where the backward passes of the two half tapes of a batch_halves call
+    meet for the gradients that sum over the batch's rows.
+
+    Both tapes record the same op sequence, so the k-th post of one half
+    pairs with the k-th post of the other. A pair is ready once both rows
+    are posted: its sums then run once, on the two halves' rows
+    concatenated along axis 0 (the whole batch's rows, so the whole batch's
+    call), and the posted arrays go. Ready sums wait on a shared list, and
+    a thread runs what is ready each time it posts, before it adds its own
+    rows: the thread that completes a pair is the one that is behind, and
+    made to run every sum it completes it would fall further behind.
+    """
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._posted = ({}, {})  # per half: post number -> (rows, sums)
+        self._counts = [0, 0]
+        self._ready = collections.deque()  # ((rows of half 0, rows of half 1), sums)
+        self._left = 0  # halves whose tape has finished or failed
+
+    def post(self, half, rows, sums):
+        self.run_ready()
+        with self._cond:
+            key = self._counts[half]
+            self._counts[half] += 1
+            other = self._posted[1 - half].pop(key, None)
+            if other is None:
+                self._posted[half][key] = (rows, sums)
+                return
+            theirs = other[0]
+            if [(r.shape, r.dtype) for r in rows] != [(r.shape, r.dtype) for r in theirs]:
+                raise ShapeError(f"batch halves posted rows {[r.shape for r in theirs]} and "
+                                 f"{[r.shape for r in rows]} to sum {key}")
+            self._ready.append(((rows, theirs) if half == 0 else (theirs, rows), sums))
+            self._cond.notify()
+
+    def run_ready(self, until_both_left=False):
+        """Run ready sums until none is left; with `until_both_left`, wait for
+        more until both halves have left."""
+        while True:
+            with self._cond:
+                while until_both_left and not self._ready and self._left < 2:
+                    self._cond.wait()
+                if not self._ready:
+                    return
+                halves, sums = self._ready.popleft()
+            whole = [np.concatenate(pair) for pair in zip(*halves)]
+            del halves
+            grads = sums(*whole)
+            del whole
+            with self._cond:
+                for tensor, g in grads:
+                    tensor.accumulate_grad(g)
+
+    def leave(self):
+        with self._cond:
+            self._left += 1
+            self._cond.notify_all()
+
+    def unmatched(self):
+        return sum(map(len, self._posted))
+
+
+def _run_half(index, meet, fn):
+    """fn(), run as half `index` of a batch_halves call whose sums meet at
+    `meet` (None for a tape-free call)."""
+    _THREAD.half, _THREAD.meet = index, meet
     try:
         return fn()
     finally:
-        _HALF.index = None
+        _THREAD.half = _THREAD.meet = None
 
 
 def batch_halves(n, size, fn):
-    """(fn(0, n // 2), fn(n // 2, n)), the first on the helper thread (see
-    _pair), for a tape-free pass over an even batch of n items whose largest
-    array holds at least _SPLIT_MIN elements; None when there is no helper or
-    any of that does not hold, and the caller then runs the whole batch itself.
+    """The Tensor joining fn(0, n // 2) and fn(n // 2, n) along axis 0, the
+    first run on the helper thread (see _pair), for a pass over an even
+    batch of n items whose largest array holds at least _SPLIT_MIN elements;
+    None when there is no helper or any of that does not hold, and the
+    caller then runs the whole batch itself.
 
-    fn(lo, hi) runs the pass on items [lo, hi); the rows of every kernel's
-    arrays must come in whole items. Each half then computes every value as
-    the whole batch would: the whole batch's cut at n // 2 falls on the batch
-    halves, kernels below _SPLIT_MIN compute each row (a batched matmul each
-    window's GEMM) on its own, and a forward linear that the whole batch
-    makes as one GEMM is made at the whole batch's height (see linear)."""
-    if n % 2 or _ACTIVE_TAPE is not None or _HALF.index is not None or _helper(size) is None:
+    fn(lo, hi) runs the pass on items [lo, hi) and returns a Tensor; the rows
+    of every kernel's arrays must come in whole items. Each half then
+    computes every value as the whole batch would: the whole batch's cut at
+    n // 2 falls on the batch halves, kernels below _SPLIT_MIN compute each
+    row (a batched matmul each window's GEMM) on its own, and a product that
+    the whole batch makes as one GEMM is made at its height (_row_product).
+
+    Under a tape each half records on a fresh tape of its own, and the join
+    is one op on the caller's tape. Its backward gives each half its rows of
+    the gradient and replays the two half tapes at the same time, half 0's
+    on the helper thread, waiting for both even when one raises. A rule that
+    sums a gradient over the batch's rows posts its rows (_batch_sums), so
+    each such sum is still one call over the whole batch's rows (_Meet).
+    """
+    if n % 2 or _THREAD.half is not None or _helper(size) is None:
         return None
-    return _pair(lambda: _run_half(0, lambda: fn(0, n // 2)),
-                 lambda: _run_half(1, lambda: fn(n // 2, n)), size)
+    taped = _THREAD.tape is not None
+    tapes = (Tape(), Tape()) if taped else (None, None)
+    meet = _Meet() if taped else None
+
+    def forward(index, lo, hi):
+        if tapes[index] is None:
+            return fn(lo, hi)
+        with tapes[index]:
+            return fn(lo, hi)
+
+    first, second = _pair(lambda: _run_half(0, meet, lambda: forward(0, 0, n // 2)),
+                          lambda: _run_half(1, meet, lambda: forward(1, n // 2, n)), size)
+    out = Tensor(np.concatenate([first.data, second.data]),
+                 requires_grad=first.requires_grad or second.requires_grad)
+    rows = len(first.data)
+
+    def backward(g):
+        both = _helper(size) is not None  # the halves run at the same time
+
+        def replay(index, root, grad):
+            try:
+                tapes[index].backward(root, grad)
+            finally:
+                meet.leave()
+            meet.run_ready(until_both_left=both)
+
+        _pair(lambda: _run_half(0, meet, lambda: replay(0, first, g[:rows])),
+              lambda: _run_half(1, meet, lambda: replay(1, second, g[rows:])), size)
+        if meet.unmatched():
+            raise RuntimeError(f"batch halves posted {meet.unmatched()} sums the other "
+                               "half did not: their tapes recorded different ops")
+
+    _record(out, backward)
+    return out
 
 
 def _unbroadcast(g, shape):
@@ -329,6 +475,38 @@ def _unbroadcast(g, shape):
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     return g
+
+
+def _batch_sums(rows, sums, beside=None, size=0):
+    """Accumulate each (tensor, gradient) pair of sums(*rows), gradients that
+    sum the arrays `rows` over their rows, and return beside() (None when
+    not given). When both are given and the work is large, sums runs on the
+    helper thread while this one runs beside (_pair).
+
+    Within a half of a taped batch_halves call, the rows are posted instead
+    (_Meet): sums then runs once on both halves' rows, the whole batch's
+    call."""
+    if _THREAD.meet is not None:
+        _THREAD.meet.post(_THREAD.half, rows, sums)
+        return None if beside is None else beside()
+    grads, out = _pair(lambda: sums(*rows), beside, size)
+    for tensor, g in grads:
+        tensor.accumulate_grad(g)
+    return out
+
+
+def _grad_to(t, g, copy=False):
+    """Accumulate g into t, summed over the leading axes that t was broadcast
+    along. Returns whether t keeps g itself (adopts it, or posts it until the
+    other batch half's rows arrive); with `copy`, set when another tensor
+    keeps g, t keeps a copy instead."""
+    if g.ndim > t.ndim:
+        keeps = _THREAD.meet is not None
+        _batch_sums((g.copy() if copy and keeps else g,),
+                     lambda g: [(t, _unbroadcast(g, t.data.shape))])
+        return keeps
+    t.accumulate_grad(g.copy() if copy else g)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +519,9 @@ def add(a, b):
     out = Tensor(_finish(a.data + b.data), requires_grad=a.requires_grad or b.requires_grad)
 
     def backward(g):
-        ga = None
-        if a.requires_grad:
-            ga = _unbroadcast(g, a.data.shape)
-            a.accumulate_grad(ga)
+        kept = a.requires_grad and _grad_to(a, g)
         if b.requires_grad:
-            gb = _unbroadcast(g, b.data.shape)
-            b.accumulate_grad(gb.copy() if gb is ga else gb)
+            _grad_to(b, g, copy=kept)
 
     _record(out, backward)
     return out
@@ -359,9 +533,9 @@ def sub(a, b):
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
+            _grad_to(a, g)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.data.shape))
+            _grad_to(b, -g)
 
     _record(out, backward)
     return out
@@ -373,9 +547,9 @@ def mul(a, b):
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
+            _grad_to(a, g * b.data)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
+            _grad_to(b, g * a.data)
 
     _record(out, backward)
     return out
@@ -472,38 +646,25 @@ def linear(x, weight, bias=None):
     if x.shape[-1] != d_in:
         raise ShapeError(f"linear: input dim {x.shape[-1]} != weight rows {d_in}")
     x2, w = x.data.reshape(-1, d_in), weight.data
-    rows, half = len(x2), _HALF.index
-    if half is not None and max(2 * x2.size, 2 * rows * d_out, w.size) < _SPLIT_MIN:
-        # The whole batch makes one GEMM over both halves' rows here, and a BLAS
-        # may give a row another value in a GEMM over fewer rows: make that
-        # GEMM, with this half's rows in place and zero rows for the other's.
-        xw = np.zeros((2 * rows, d_in), x2.dtype)
-        xw[half * rows:(half + 1) * rows] = x2
-        yw = np.empty((2 * rows, d_out), np.result_type(x2, w))
-        np.matmul(xw, w, out=yw)
-        y2 = yw[half * rows:(half + 1) * rows]
-    else:
-        y2 = np.empty((rows, d_out), np.result_type(x2, w))
-        _halves(rows, max(x2.size, y2.size, w.size),
-                lambda lo, hi: np.matmul(x2[lo:hi], w, out=y2[lo:hi]))
+    y2 = _row_product(x2, w)
     if bias is not None:
         y2 += bias.data
     out_shape = x.shape[:-1] + (d_out,)
     requires = x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
     out = Tensor(_finish(y2.reshape(out_shape)), requires_grad=requires)
 
+    params = [p for p in (weight, bias) if p is not None and p.requires_grad]
+
+    def sums(x2, g2):  # dW, one GEMM over every row, and the bias row sum
+        return [(p, np.matmul(x2.T, g2) if p is weight else g2.sum(axis=0)) for p in params]
+
     def backward(g):
         g2 = g.reshape(-1, d_out)
-        gw = None
-        if weight.requires_grad:  # allocated here, filled by the helper (see _POOL)
-            gw = np.empty(w.shape, np.result_type(x2, g2))
-        _, gx = _pair(None if gw is None else (lambda: np.matmul(x2.T, g2, out=gw)),
-                      (lambda: g2 @ w.T) if x.requires_grad else None,
-                      max(x2.size, g2.size, w.size))
-        if gw is not None:
-            weight.accumulate_grad(gw)
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(g2.sum(axis=0))
+        dx = (lambda: _row_product(g2, w.T, on_caller=bool(params))) if x.requires_grad else None
+        if params:  # the sums on the helper thread while this one makes dx
+            gx = _batch_sums((x2, g2), sums, dx, max(x2.size, g2.size, w.size))
+        else:
+            gx = dx()
         if gx is not None:
             x.accumulate_grad(gx.reshape(x.data.shape))
 
@@ -525,7 +686,7 @@ def tensor_sum(x):
 def tensor_mean(x, axis=None):
     """Mean over `axis` (an int or a tuple of ints), or over every element."""
     axes = None if axis is None else (axis if isinstance(axis, tuple) else (axis,))
-    n = x.data.size if axes is None else np.prod([x.data.shape[a] for a in axes])
+    n = x.data.size if axes is None else math.prod(x.data.shape[a] for a in axes)
     out = Tensor(_finish(x.data.mean(axis=axis)), requires_grad=x.requires_grad)
 
     def backward(g):
@@ -615,12 +776,15 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     requires = x.requires_grad or gamma.requires_grad or beta.requires_grad
     out = Tensor(_finish(y.reshape(x.data.shape)), requires_grad=requires)
 
+    params = [p for p in (gamma, beta) if p.requires_grad]
+
+    def sums(g2, xhat):
+        return [(p, (g2 * xhat).sum(axis=0) if p is gamma else g2.sum(axis=0)) for p in params]
+
     def backward(g):
         g2 = g.reshape(-1, d)
-        if gamma.requires_grad:
-            gamma.accumulate_grad((g2 * xhat).sum(axis=0))
-        if beta.requires_grad:
-            beta.accumulate_grad(g2.sum(axis=0))
+        if params:
+            _batch_sums((g2, xhat), sums)
         if x.requires_grad:
             dx = np.empty_like(xhat)
 
@@ -711,9 +875,9 @@ def where_const(mask, value, x):
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad(_unbroadcast(np.where(mask, 0.0, g), x.data.shape))
+            _grad_to(x, np.where(mask, 0.0, g))
         if value.requires_grad:
-            value.accumulate_grad(_unbroadcast(np.where(mask, g, 0.0), value.data.shape))
+            _grad_to(value, np.where(mask, g, 0.0))
 
     _record(out, backward)
     return out

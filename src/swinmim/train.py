@@ -622,12 +622,13 @@ def run_pretrain(run_cfg, index, out_dir, seed=0, resume=None):
 
 
 def run_finetune(run_cfg, train_index, eval_index, out_dir, seed=0,
-                 init_checkpoint=None, resume=None):
+                 init_checkpoint=None, resume=None, on_warm_start=None):
     """Classification fine-tuning; returns (model, Metrics, ckpt path).
 
     Optional batch-level CutMix/MixUp (augment config) and optional
     mask-token input masking (train.mask_in_finetune). Per-epoch metrics
-    are appended to metrics_log.tsv.
+    are appended to metrics_log.tsv. A warm start from `init_checkpoint`
+    hands load_pretrained_encoder's report to `on_warm_start` when given.
     """
     run_cfg.validate()
     rng = Rng(seed)
@@ -635,7 +636,9 @@ def run_finetune(run_cfg, train_index, eval_index, out_dir, seed=0,
     model = SwinClassifier(run_cfg.model, rng.child(_INIT), with_mask_token=with_token)
     if init_checkpoint is not None:
         _, tensors = load_checkpoint(init_checkpoint)
-        load_pretrained_encoder(model, tensors)
+        report = load_pretrained_encoder(model, tensors)
+        if on_warm_start is not None:
+            on_warm_start(report)
     mask_spec = run_cfg.mask.spec(seed) if with_token else None
     img_size = run_cfg.model.img_size
     metrics = None

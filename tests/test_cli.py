@@ -13,6 +13,8 @@ from conftest import write_synthetic_dataset
 from swinmim.cli import main
 from swinmim.config import _SECTIONS, RunConfig, config_from_dict, load_config
 from swinmim.data import build_index
+from swinmim.rng import Rng
+from swinmim.swin import SwinClassifier
 from swinmim.train import load_checkpoint, read_tsv_log, save_checkpoint
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -334,10 +336,17 @@ class TestFinetuneEval:
                      "--out", str(tmp_path / "ft"),
                      "--init-from", str(tmp_path / "pre" / "checkpoint.sldb")])
 
-    def test_window_change_remapped_without_flag(self, micro_root, tmp_path):
+    def test_window_change_remapped_without_flag(self, micro_root, tmp_path, capsys):
         assert self.pretrain_then_finetune(micro_root, tmp_path, {"window_size": 2}) == 0
+        blocks = sum(TINY["model"]["depths"])
+        reports = [ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("warm start from ")]
         _, pre = load_checkpoint(str(tmp_path / "pre" / "checkpoint.sldb"))
         _, ft = load_checkpoint(str(tmp_path / "ft" / "checkpoint.sldb"))
+        # fresh: the head's weight and bias; loaded: every other tensor
+        tensors = len(list(SwinClassifier(config_from_dict(TINY).model, Rng(0)).named_params()))
+        assert reports == [f"warm start from {tmp_path / 'pre' / 'checkpoint.sldb'}: "
+                           f"{tensors - blocks - 2} loaded, {blocks} remapped, 2 fresh"]
         tables = [n for n in ft if n.startswith("stages.") and n.endswith("attn.bias_table")]
         assert len(tables) == sum(TINY["model"]["depths"])
         for name in tables:

@@ -8,6 +8,7 @@ import pytest
 import swinmim.swin as swin_mod
 import swinmim.tensor as tensor_mod
 from conftest import tiny_config
+from swinmim.mim import MaskSpec, MIMPretrainModel, generate_mask
 from swinmim.rng import Rng
 from swinmim.swin import (
     ATTN_MASK_FILL,
@@ -35,6 +36,7 @@ from swinmim.tensor import (
     gelu,
     grad_check,
     linear,
+    log_softmax,
     mul,
     pad_hw,
     softmax,
@@ -252,6 +254,20 @@ class TestShiftedWindowMask:
                         # unblocked pairs never straddle the seam
                         assert not cross_wrap
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_masked_probabilities_are_zero_not_subnormal(self, dtype):
+        # a fill whose exp is a subnormal (e^-100 in float32) slows every kernel
+        # that reads the probabilities; the fill stays finite for the debug checks
+        assert np.isfinite(dtype(ATTN_MASK_FILL))
+        size, window, shift = 8, 4, 2
+        mask = shifted_window_mask(size, size, window, shift, dtype)
+        logits = (10.0 * Rng(5).child(1).normal(size=mask.shape)).astype(dtype)
+        weights = softmax(Tensor(logits + mask)).numpy()
+        assert weights.dtype == dtype
+        assert np.all(weights[mask != 0] == 0.0)
+        tiny = np.finfo(dtype).tiny
+        assert not np.any((weights > 0) & (weights < tiny))
+
     def test_mask_blocks_attention_below_1e30(self):
         size, window, shift = 8, 4, 2
         mask = shifted_window_mask(size, size, window, shift, np.float64)
@@ -432,13 +448,17 @@ class TestEncoder:
             enc(t32(np.zeros((1, 64, 64, 3))))
 
     def test_per_sample_equals_batched(self):
+        # Zero every image but image i, at the batched height: each row is then
+        # made by the same calls (a BLAS may give a row other bits in a GEMM
+        # over another row count), so image i's features must match bitwise.
         cfg = tiny_config()
         enc = SwinEncoder(cfg, Rng(14).child(0))
         x = Rng(14).child(1).normal(size=(3, 64, 64, 3)).astype(np.float32)
         batched = enc(t32(x)).numpy()
         for i in range(3):
-            single = enc(t32(x[i:i + 1])).numpy()
-            assert np.array_equal(batched[i:i + 1], single)
+            z = np.zeros_like(x)
+            z[i] = x[i]
+            assert np.array_equal(enc(t32(z)).numpy()[i], batched[i])
 
     def test_forward_backward_populates_grads(self):
         cfg = tiny_config()
@@ -456,14 +476,15 @@ def split_tiny(helper_pool, monkeypatch):
     """A helper thread, and a split threshold at which a tiny-config encoder
     splits at B=4: its stage-0 kernels are above it and the stage-1 proj
     linear, made as one GEMM by the whole batch, is below it. The pool's
-    `halves` lists (index, ran on the helper) for each batch half run."""
+    `halves` lists (index, taped, ran on the helper) for each batch half
+    run, forward or backward."""
     monkeypatch.setattr(tensor_mod, "_SPLIT_MIN", 1 << 14)
     run, helper_pool.halves = tensor_mod._run_half, []
 
-    def recorded(index, fn):
+    def recorded(index, meet, fn):
         on_helper = threading.current_thread() is not threading.main_thread()
-        helper_pool.halves.append((index, on_helper))
-        return run(index, fn)
+        helper_pool.halves.append((index, meet is not None, on_helper))
+        return run(index, meet, fn)
 
     monkeypatch.setattr(tensor_mod, "_run_half", recorded)
     return helper_pool
@@ -473,8 +494,24 @@ def encoder_bytes(encoder, images, token_mask=None, mask_token=None):
     return encoder(t32(images), token_mask=token_mask, mask_token=mask_token).numpy().tobytes()
 
 
+def whole_batch(monkeypatch):
+    monkeypatch.setattr(swin_mod, "batch_halves", lambda n, size, fn: None)
+
+
+def step_bytes(model, loss_fn):
+    """The loss and every parameter gradient of one taped step."""
+    for _, p in model.named_params():
+        p.zero_grad()
+    with Tape() as tape:
+        loss = loss_fn()
+    tape.backward(loss)
+    assert len(tape) == 0
+    return [loss.numpy().tobytes()] + [p.grad.tobytes() for _, p in model.named_params()]
+
+
 class TestHelperThread:
-    """A tape-free encoder forward runs as two batch halves, with the same bytes."""
+    """An encoder forward runs as two batch halves, and under a tape so does
+    its backward, with the same bytes."""
 
     def setup_method(self):
         rng = Rng(16)
@@ -482,16 +519,29 @@ class TestHelperThread:
         self.images = rng.child(1).normal(size=(4, 64, 64, 3)).astype(np.float32)
         self.mask = rng.child(2).uniform(size=(4, 16, 16)) < 0.5
         self.token = t32(rng.child(3).normal(size=(16,)))
+        self.mim = MIMPretrainModel(tiny_config(), rng.child(4), mask_spec=MaskSpec(16, 0.5))
+        self.masks = [generate_mask(self.mim.mask_spec, 64, rng.child(5, j)) for j in range(4)]
+        self.clf = SwinClassifier(tiny_config(), rng.child(6), with_mask_token=True)
+        self.labels = np.eye(10, dtype=np.float32)[[3, 1, 4, 1]]
 
     def outputs(self):
         return (encoder_bytes(self.encoder, self.images),
                 encoder_bytes(self.encoder, self.images, self.mask, self.token))
 
+    def mim_step(self):
+        return step_bytes(self.mim, lambda: self.mim.loss(t32(self.images), self.masks))
+
+    def clf_step(self):
+        def loss():
+            logits = self.clf(t32(self.images), token_mask=self.mask, training=True)
+            return tensor_sum(mul(log_softmax(logits), t32(-self.labels)))
+        return step_bytes(self.clf, loss)
+
     def test_split_forward_matches_whole_batch(self, split_tiny, monkeypatch):
         split = self.outputs()
         assert split_tiny.tasks == 2  # one batch half per forward, nothing else
-        assert sorted(split_tiny.halves) == [(0, True), (0, True), (1, False), (1, False)]
-        monkeypatch.setattr(swin_mod, "batch_halves", lambda n, size, fn: None)
+        assert sorted(split_tiny.halves) == [(0, False, True)] * 2 + [(1, False, False)] * 2
+        whole_batch(monkeypatch)
         assert self.outputs() == split
         assert split_tiny.tasks > 2  # the whole batch split its large kernels instead
 
@@ -500,17 +550,54 @@ class TestHelperThread:
         monkeypatch.setattr(tensor_mod, "_POOL", False)
         assert self.outputs() == on
 
-    @pytest.mark.parametrize("case", ["odd batch", "tape", "training"])
-    def test_no_split(self, split_tiny, case):
-        images = np.concatenate([self.images, self.images[:1]]) if case == "odd batch" \
-            else self.images
-        if case == "tape":
-            with Tape():
-                self.encoder(t32(images))
-        else:
-            self.encoder(t32(images), training=case == "training")
-        assert split_tiny.tasks > 0  # large kernels still split
+    @pytest.mark.parametrize("model", ["mim", "classifier"])
+    def test_split_step_matches_whole_batch(self, split_tiny, monkeypatch, model):
+        step = self.mim_step if model == "mim" else self.clf_step
+        split = step()
+        # a forward and a backward per half, half 0's on the helper
+        assert sorted(split_tiny.halves) == [(0, True, True)] * 2 + [(1, True, False)] * 2
+        whole_batch(monkeypatch)
+        assert step() == split
+
+    def test_split_step_same_with_helper_on_and_off(self, split_tiny, monkeypatch):
+        on = self.mim_step()
+        replay = tensor_mod.Tape.backward
+
+        def helper_gone(tape, root, grad=None):  # the halves' backward runs one after the other
+            monkeypatch.setattr(tensor_mod, "_POOL", False)
+            return replay(tape, root, grad)
+
+        monkeypatch.setattr(tensor_mod.Tape, "backward", helper_gone)
+        assert self.mim_step() == on
+        assert split_tiny.halves[-2:] == [(0, True, False), (1, True, False)]
+        split_tiny.halves.clear()
+        assert self.mim_step() == on  # no helper: the whole batch
         assert split_tiny.halves == []
+
+    @pytest.mark.parametrize("case", ["odd batch", "drop path", "input grad", "no helper",
+                                      "small", "mask length"])
+    def test_no_split(self, split_tiny, monkeypatch, case):
+        """A taped training step that must or cannot split runs the whole batch."""
+        images, encoder = self.images, self.encoder
+        if case == "odd batch":
+            images = np.concatenate([images, images[:1]])
+        elif case == "drop path":  # stochastic depth draws over the whole batch
+            encoder = SwinEncoder(tiny_config(drop_path=0.1), Rng(16).child(0))
+        elif case == "no helper":
+            monkeypatch.setattr(tensor_mod, "_POOL", False)
+        elif case == "small":  # tiny-config work at B=4 sits below the real threshold
+            monkeypatch.setattr(tensor_mod, "_SPLIT_MIN", 1 << 15)
+        x = t32(images, grad=case == "input grad")
+        with Tape() as tape:
+            if case == "mask length":  # the whole batch reports the mismatch
+                with pytest.raises(ShapeError, match="token mask"):
+                    encoder(x, token_mask=self.mask[:2], mask_token=self.token, training=True)
+                return
+            loss = tensor_sum(encoder(x, training=True, rng=Rng(17)))
+        tape.backward(loss)
+        assert split_tiny.halves == []
+        if case == "input grad":
+            assert x.grad is not None
 
     @pytest.mark.parametrize("raising", ["helper", "caller"])
     def test_error_in_either_half_propagates(self, split_tiny, monkeypatch, raising):
@@ -518,7 +605,7 @@ class TestHelperThread:
         whole = SwinEncoder._forward
 
         def half(encoder, *args):
-            if tensor_mod._HALF.index == (0 if raising == "helper" else 1):
+            if tensor_mod._THREAD.half == (0 if raising == "helper" else 1):
                 raise ValueError("boom")
             time.sleep(0.05)
             out = whole(encoder, *args)
@@ -529,7 +616,35 @@ class TestHelperThread:
         with pytest.raises(ValueError, match="boom"):
             self.encoder(t32(self.images))
         assert finished.is_set()  # the caller waited for the helper first
-        assert tensor_mod._HALF.index is None
+        assert tensor_mod._THREAD.half is None
+
+    @pytest.mark.parametrize("phase", ["forward", "backward"])
+    @pytest.mark.parametrize("raising", ["helper", "caller"])
+    def test_error_in_either_half_of_a_step_propagates(self, split_tiny, monkeypatch, phase,
+                                                       raising):
+        finished = threading.Event()
+
+        def wrap(whole):
+            def run(*args):
+                if tensor_mod._THREAD.half is None:
+                    return whole(*args)
+                if tensor_mod._THREAD.half == (0 if raising == "helper" else 1):
+                    raise ValueError("boom")
+                time.sleep(0.05)
+                out = whole(*args)
+                finished.set()
+                return out
+            return run
+
+        if phase == "forward":
+            monkeypatch.setattr(SwinEncoder, "_forward", wrap(SwinEncoder._forward))
+        else:
+            monkeypatch.setattr(tensor_mod.Tape, "backward", wrap(tensor_mod.Tape.backward))
+        with pytest.raises(ValueError, match="boom"):
+            self.mim_step()
+        assert finished.is_set()  # the caller waited for the other half first
+        assert tensor_mod._THREAD.half is None and tensor_mod._THREAD.meet is None
+        assert tensor_mod._THREAD.tape is None
 
     def test_wrapped_block_call_does_not_split(self, split_tiny, monkeypatch):
         call = SwinBlock.__call__
@@ -540,7 +655,19 @@ class TestHelperThread:
 
         monkeypatch.setattr(SwinBlock, "__call__", traced)
         self.outputs()
+        self.mim_step()
         assert split_tiny.halves == []
+
+    def test_halves_recording_other_ops_raise(self, split_tiny, monkeypatch):
+        whole = SwinEncoder._forward
+
+        def uneven(encoder, *args):  # half 0 runs one more layer norm
+            out = whole(encoder, *args)
+            return encoder.norm(out) if tensor_mod._THREAD.half == 0 else out
+
+        monkeypatch.setattr(SwinEncoder, "_forward", uneven)
+        with pytest.raises((ShapeError, RuntimeError), match="batch halves posted"):
+            self.mim_step()
 
 
 class TestConfigValidation:

@@ -1,6 +1,7 @@
 import math
 import os
 import signal
+import sys
 import threading
 import time
 import warnings
@@ -371,6 +372,40 @@ class TestTape:
         assert np.array_equal(y1, y2)
         assert np.array_equal(g1, g2)
 
+    def test_tape_is_per_thread(self):
+        x = t64([1.0, 2.0])
+        done = []
+        with Tape() as tape:
+            worker = threading.Thread(target=lambda: done.append(mul(x, x)))
+            worker.start()
+            worker.join()
+            assert len(tape) == 0  # the other thread has no active tape
+            with Tape() as inner:
+                worker = threading.Thread(target=lambda: done.append(mul(x, x)))
+                worker.start()
+                worker.join()
+            assert len(inner) == 0
+            mul(x, x)
+        assert len(tape) == 1 and len(done) == 2
+        assert tensor_mod._THREAD.tape is None
+
+    def test_mean_grad_stays_float32(self, monkeypatch):
+        # a numpy integer count would make a float64 gradient under numpy 2's promotion
+        handed = []
+        accumulate = Tensor.accumulate_grad
+
+        def spy(tensor, g):
+            handed.append(np.asarray(g).dtype)
+            accumulate(tensor, g)
+
+        monkeypatch.setattr(Tensor, "accumulate_grad", spy)
+        x = Tensor(np.ones((2, 3, 3, 4), np.float32), requires_grad=True)
+        with Tape() as tape:
+            y = tensor_mean(x, axis=(1, 2))
+        tape.backward(y)
+        assert handed == [np.float32, np.float32]
+        assert x.grad.dtype == np.float32 and np.all(x.grad == np.float32(1 / 9))
+
 
 class TestTapeMemoryContract:
     """Backward releases the tape as it runs and hands fresh arrays over
@@ -424,8 +459,9 @@ def paper_shaped_ops():
     """Linear, layer_norm, gelu, matmul and softmax on arrays above the split
     threshold, then one AdamW step. Returns (kernel bytes, reference bytes):
     the outputs, grads, params and moments the kernels give, and the
-    outputs and grads of the same arithmetic as numpy expressions: linear as
-    two GEMMs over row halves, everything else over whole arrays."""
+    outputs and grads of the same arithmetic as numpy expressions: linear's
+    forward and its dx as two GEMMs over row halves, everything else over
+    whole arrays."""
     rng = Rng(51)
 
     def leaf(i, shape):
@@ -465,7 +501,8 @@ def paper_shaped_ops():
     halves = np.concatenate([x2[:784] @ w.data, x2[784:] @ w.data])
     reference = [(halves + b.data).reshape(z.shape).tobytes(), np.matmul(q.data, k.data).tobytes(),
                  (y * cdf).tobytes(), soft.tobytes(),
-                 (g2 @ w.data.T).reshape(x.shape).tobytes(),
+                 np.concatenate([g2[:784] @ w.data.T, g2[784:] @ w.data.T]).reshape(x.shape)
+                 .tobytes(),
                  (x2.T @ g2).tobytes(), g2.sum(axis=0).tobytes(),
                  (g_y * xhat).reshape(-1, 1536).sum(axis=0).tobytes(),
                  g_y.reshape(-1, 1536).sum(axis=0).tobytes(),
@@ -588,6 +625,68 @@ class TestHelperThread:
         assert np.isinf(out).all()
         assert [over for _, over in seen] == ["raise", "ignore"]
         assert all(ident != caller for ident, _ in seen)
+
+    def test_meet_pairs_posts_in_order_and_checks_shapes(self):
+        meet = tensor_mod._Meet()
+        w = Tensor(np.zeros(3, np.float32), requires_grad=True)
+
+        def sums(rows):
+            return [(w, rows.sum(axis=0))]
+
+        meet.post(1, (np.full((2, 3), 2.0, np.float32),), sums)
+        meet.post(0, (np.ones((2, 3), np.float32),), sums)
+        assert meet.unmatched() == 0
+        meet.run_ready()
+        assert np.array_equal(w.grad, np.full(3, 6.0, np.float32))
+        meet.post(0, (np.ones((2, 3), np.float32),), sums)
+        assert meet.unmatched() == 1
+        with pytest.raises(ShapeError, match="batch halves posted"):
+            meet.post(1, (np.ones((3, 3), np.float32),), sums)
+
+    def test_meet_under_thread_switches_loses_no_sum(self):
+        """Four rendezvous at once, each between two posting threads that
+        switch often: every sum runs once, on both halves' rows in order."""
+        posts, width = 60, 3
+        rows = [[np.full((2, width), 10 * k + half, np.float32) for k in range(posts)]
+                for half in (0, 1)]
+        expected = [np.concatenate([rows[0][k], rows[1][k]]) * np.arange(1, 5)[:, None]
+                    for k in range(posts)]
+        errors = []
+
+        def run_meet(meet, grads):
+            def half(index):
+                try:
+                    try:
+                        for k in range(posts):
+                            if (k + index) % 7 == 0:
+                                time.sleep(0.001)
+                            meet.post(index, (rows[index][k],), lambda r, k=k: [
+                                (grads[k], (r * np.arange(1, 5)[:, None]).sum(axis=0))])
+                    finally:
+                        meet.leave()
+                    meet.run_ready(until_both_left=True)
+                except Exception as e:  # a thread's exception would not fail the test
+                    errors.append(e)
+            return [threading.Thread(target=half, args=(i,)) for i in (0, 1)]
+
+        meets = [(tensor_mod._Meet(), [Tensor(np.zeros(width, np.float32), requires_grad=True)
+                                       for _ in range(posts)]) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [t for meet, grads in meets for t in run_meet(meet, grads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for meet, grads in meets:
+            assert meet.unmatched() == 0
+            for k, g in enumerate(grads):
+                assert np.array_equal(g.grad, expected[k].sum(axis=0)), k
 
     def test_small_work_runs_on_caller(self, helper_pool):
         idents = []
