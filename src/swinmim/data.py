@@ -240,20 +240,32 @@ def normalize(images, mean, std):
     return (images - mean) / std
 
 
+# Bytes of decoded images one ImageCache keeps (the 22.4k-image source set
+# at 224px would need about 13.5 GB). Once it is full, a miss is decoded and
+# handed out without being kept; nothing is evicted. Decoding is
+# deterministic, so a lookup gives the same bytes either way.
+_CACHE_BUDGET = 2 << 30
+
+
 class ImageCache:
-    """Decoded-and-resized image cache keyed by (path, size)."""
+    """Decoded images resized to img_size, keyed by path, up to _CACHE_BUDGET bytes."""
 
     def __init__(self, img_size):
         self.img_size = img_size
         self._store = {}
+        self._nbytes = 0
 
     def get(self, path):
-        if path not in self._store:
+        img = self._store.get(path)
+        if img is None:
             img = load_ppm(path)
             if img.shape[:2] != (self.img_size, self.img_size):
                 img = resize_bilinear(img, self.img_size, self.img_size)
-            self._store[path] = np.ascontiguousarray(img, dtype=np.float32)
-        return self._store[path]
+            img = np.ascontiguousarray(img, dtype=np.float32)
+            if self._nbytes + img.nbytes <= _CACHE_BUDGET:
+                self._store[path] = img
+                self._nbytes += img.nbytes
+        return img
 
 
 def make_batches(index, batch_size, seed, epoch, img_size, mean, std, shuffle=True,
@@ -261,7 +273,8 @@ def make_batches(index, batch_size, seed, epoch, img_size, mean, std, shuffle=Tr
     """Yield Batch objects covering the index exactly once.
 
     Order depends only on (seed, epoch). The final partial batch is kept.
-    Labels are one-hot; pixels are normalized per channel.
+    Labels are one-hot; pixels are normalized per channel. A given `cache`
+    must hold images of img_size.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -269,7 +282,11 @@ def make_batches(index, batch_size, seed, epoch, img_size, mean, std, shuffle=Tr
     if shuffle:
         order = Rng(seed).child(epoch).permutation(len(records))
         records = [records[i] for i in order]
-    cache = cache if cache is not None else ImageCache(img_size)
+    if cache is None:
+        cache = ImageCache(img_size)
+    elif cache.img_size != img_size:
+        raise ValueError(f"make_batches: img_size {img_size} but the cache holds "
+                         f"{cache.img_size}px images")
     for start in range(0, len(records), batch_size):
         chunk = records[start:start + batch_size]
         images = np.stack([cache.get(r.path) for r in chunk])

@@ -9,15 +9,16 @@ participating tensor with requires_grad set.
 Training runs in float32; gradient verification (grad_check) runs the same
 graph in float64 against central finite differences.
 
-Large kernels run as two halves (`_pair`, `_halves`), the first on one
-helper thread when this process may use two CPUs. Large work is always cut
-into the same two calls, helper or not, so every element, row and GEMM is
-computed by the same call either way and results do not depend on it.
-A batched pass can instead run as two half-batch passes (`batch_halves`),
-one per thread, that make the same kernel calls. Under a tape each half
-records on a tape of its own; their backward passes run at the same time
-and meet for every gradient that sums over the batch's rows, which is then
-made by one call over both halves' rows (`_Meet`).
+Large work runs as two halves, the first on one helper thread when this
+process may use two CPUs. A batched pass runs as two half-batch passes
+(`batch_halves`), one per thread, that make the same kernel calls as the
+whole batch. Under a tape each half records on a tape of its own; their
+backward passes run at the same time and meet for every gradient that sums
+over the batch's rows, which is then made by one call over both halves' rows
+(`_Meet`). Outside a half only two kernels split: a product over rows
+(`linear`, `_row_product`) and AdamW cut their rows in two (`_halves`), and
+`linear`'s weight gradient runs beside its dx (`_pair`). Large work is always
+cut into the same calls, helper or not, so results do not depend on it.
 """
 
 import collections
@@ -196,24 +197,22 @@ def _as_tensor(x, like):
 
 # Work whose largest array holds fewer elements than this runs as one call on
 # the calling thread; larger work always runs as the same two calls, helper or
-# not: linear forward and its dx by row halves, a same-batch matmul by halves
-# of its leading axis (the windows), GELU / softmax / layer norm forward and
-# backward by element or row halves, AdamW by row halves, linear backward as
-# dW beside dx and matmul backward as its two GEMMs. One hand-off to the
-# helper (submit, run a no-op under the caller's errstate, wait for it)
-# measured about 50 us on a
-# 2-core x86_64 host (Xeon, numpy 2.4.6), and the cheapest chains split here
-# (softmax, layer norm) cost about 6 ns per element, so a split pays for its
-# hand-off from about 2**14 elements. The threshold sits at the first power
-# of two above every tensor of configs/tiny.json (the largest is the MIM
-# head's 128 x 3072 weight, 393,216 elements), so desk-scale runs keep their
-# per-op cost; at 2**19 the half moved off the caller is worth about thirty
-# hand-offs.
+# not: an encoder pass over an even batch as its two batch halves, and outside
+# them linear forward and its dx by row halves, linear backward as dW beside
+# dx, and AdamW by row halves. Within a batch half nothing splits again. One
+# hand-off to the helper (submit, run a no-op under the caller's errstate,
+# wait for it) measured about 50 us on a 2-core x86_64 host (Xeon, numpy
+# 2.4.6), and cheap row-local chains (softmax, layer norm) cost about 6 ns per
+# element, so a split pays for its hand-off from about 2**14 elements. The
+# threshold sits at the first power of two above every tensor of
+# configs/tiny.json (the largest is the MIM head's 128 x 3072 weight, 393,216
+# elements), so desk-scale runs keep their per-op cost; at 2**19 the half
+# moved off the caller is worth about thirty hand-offs.
 _SPLIT_MIN = 1 << 19
 
 # One helper thread, made on first use when this process may run on at least
 # two CPUs; False when it may not. A task never submits another one. Kernel
-# halves (`_pair`, `_halves`) call only numpy and scipy; the first half of
+# halves (`_pair`, `_halves`) call only numpy; the first half of
 # `batch_halves` runs a pass of this package, and under a tape its backward,
 # and makes Tensors and arrays. Making the pool caps glibc at one malloc
 # arena, so the helper's arrays come from the caller's arena; an
@@ -267,14 +266,13 @@ def _in_errstate(err, fn):
 
 
 def _pair(f, g, size):
-    """(f(), g()), with f on the helper thread when both are given, the
-    largest array holds at least _SPLIT_MIN elements and this thread runs no
-    half of batch_halves. f runs under the caller's np.errstate. A task
-    given as None is skipped and yields None. The caller waits for f even
-    when g raises."""
-    pool = _helper(size) if f is not None and g is not None and _THREAD.half is None else None
+    """(f(), g()), with f on the helper thread when g is given, the largest
+    array holds at least _SPLIT_MIN elements and this thread runs no half of
+    batch_halves. f runs under the caller's np.errstate. A g given as None
+    is skipped and yields None. The caller waits for f even when g raises."""
+    pool = _helper(size) if g is not None and _THREAD.half is None else None
     if pool is None:
-        return (None if f is None else f()), (None if g is None else g())
+        return f(), (None if g is None else g())
     future = pool.submit(_in_errstate, np.geterr(), f)
     try:
         b = g()
@@ -568,37 +566,22 @@ def absolute(x):
 
 def gelu(x):
     """Gaussian error linear unit, exact erf form: x * Phi(x)."""
-    xf = x.data.reshape(-1)
-    cdf = np.empty_like(xf)
-    y = np.empty_like(xf)
+    xd = x.data
+    cdf = xd / math.sqrt(2.0)  # 0.5 * (1 + erf(x / sqrt 2))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    out = Tensor(_finish(xd * cdf), requires_grad=x.requires_grad)
 
-    def forward(lo, hi):  # cdf = 0.5 * (1 + erf(x / sqrt 2)); y = x * cdf
-        c = cdf[lo:hi]
-        np.divide(xf[lo:hi], math.sqrt(2.0), out=c)
-        erf(c, out=c)
-        c += 1.0
-        c *= 0.5
-        np.multiply(xf[lo:hi], c, out=y[lo:hi])
-
-    _halves(xf.size, xf.size, forward)
-    out = Tensor(_finish(y.reshape(x.data.shape)), requires_grad=x.requires_grad)
-
-    def backward(g):
-        gf = g.reshape(-1)
-        dx = np.empty_like(xf)
-
-        def grad(lo, hi):  # g * (cdf + x * exp(-x * x / 2) / sqrt(2 pi))
-            xs, t = xf[lo:hi], dx[lo:hi]
-            np.multiply(xs, -0.5, out=t)
-            t *= xs
-            np.exp(t, out=t)
-            t /= math.sqrt(2.0 * math.pi)
-            t *= xs
-            t += cdf[lo:hi]
-            t *= gf[lo:hi]
-
-        _halves(xf.size, xf.size, grad)
-        x.accumulate_grad(dx.reshape(x.data.shape))
+    def backward(g):  # g * (cdf + x * exp(-x * x / 2) / sqrt(2 pi))
+        dx = xd * -0.5
+        dx *= xd
+        np.exp(dx, out=dx)
+        dx /= math.sqrt(2.0 * math.pi)
+        dx *= xd
+        dx += cdf
+        dx *= g
+        x.accumulate_grad(dx)
 
     _record(out, backward)
     return out
@@ -618,23 +601,14 @@ def matmul(a, b):
     if a.data.dtype != b.data.dtype:
         raise ShapeError(f"matmul dtypes differ: {a.data.dtype} vs {b.data.dtype}")
     ad, bd = a.data, b.data
-    y = np.empty(ad.shape[:-1] + bd.shape[-1:], ad.dtype)  # numpy runs one GEMM per slice
-    _halves(len(ad), max(ad.size, bd.size, y.size),
-            lambda lo, hi: np.matmul(ad[lo:hi], bd[lo:hi], out=y[lo:hi]))
-    out = Tensor(_finish(y), requires_grad=a.requires_grad or b.requires_grad)
+    out = Tensor(_finish(np.matmul(ad, bd)),  # numpy runs one GEMM per slice
+                 requires_grad=a.requires_grad or b.requires_grad)
 
     def backward(g):
-        ga = None
-        if a.requires_grad:  # allocated here, filled by the helper (see _POOL)
-            ga = np.empty(g.shape[:-1] + bd.shape[-2:-1], np.result_type(g, bd))
-        _, gb = _pair(
-            None if ga is None else (lambda: np.matmul(g, np.swapaxes(bd, -1, -2), out=ga)),
-            (lambda: np.matmul(np.swapaxes(ad, -1, -2), g)) if b.requires_grad else None,
-            max(ad.size, bd.size, g.size))
-        if ga is not None:
-            a.accumulate_grad(ga)
-        if gb is not None:
-            b.accumulate_grad(gb)
+        if a.requires_grad:
+            a.accumulate_grad(np.matmul(g, np.swapaxes(bd, -1, -2)))
+        if b.requires_grad:
+            b.accumulate_grad(np.matmul(np.swapaxes(ad, -1, -2), g))
 
     _record(out, backward)
     return out
@@ -707,29 +681,16 @@ def softmax(x):
     """Numerically stabilized softmax along the last axis; rows sum to 1."""
     d = x.shape[-1]
     x2 = x.data.reshape(-1, d)
-    s = np.empty_like(x2)
-
-    def forward(lo, hi):  # exp(x - max) / sum(exp(x - max))
-        xs, ss = x2[lo:hi], s[lo:hi]
-        np.subtract(xs, xs.max(axis=-1, keepdims=True), out=ss)
-        np.exp(ss, out=ss)
-        ss /= ss.sum(axis=-1, keepdims=True)
-
-    _halves(len(x2), x2.size, forward)
+    s = x2 - x2.max(axis=-1, keepdims=True)  # exp(x - max) / sum(exp(x - max))
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
     out = Tensor(_finish(s.reshape(x.data.shape)), requires_grad=x.requires_grad)
 
-    def backward(g):
+    def backward(g):  # (g - sum(g * s)) * s
         g2 = g.reshape(-1, d)
-        dx = np.empty_like(s)
-
-        def grad(lo, hi):  # (g - sum(g * s)) * s
-            gs, ss, t = g2[lo:hi], s[lo:hi], dx[lo:hi]
-            np.multiply(gs, ss, out=t)
-            dot = t.sum(axis=-1, keepdims=True)
-            np.subtract(gs, dot, out=t)
-            t *= ss
-
-        _halves(len(s), s.size, grad)
+        dx = g2 * s
+        np.subtract(g2, dx.sum(axis=-1, keepdims=True), out=dx)
+        dx *= s
         x.accumulate_grad(dx.reshape(x.data.shape))
 
     _record(out, backward)
@@ -756,23 +717,15 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm affine params must have shape ({d},)")
     x2 = x.data.reshape(-1, d)
-    xhat = np.empty_like(x2)
-    inv = np.empty((len(x2), 1), x2.dtype)
-    y = np.empty_like(x2)
-    gd, bd = gamma.data, beta.data
-
-    def forward(lo, hi):  # xhat = (x - mean) / sqrt(var + eps); y = xhat * gamma + beta
-        xs, xh, iv = x2[lo:hi], xhat[lo:hi], inv[lo:hi]
-        np.subtract(xs, xs.mean(axis=-1, keepdims=True), out=xh)
-        var = (xh * xh).mean(axis=-1, keepdims=True)
-        var += eps
-        np.sqrt(var, out=var)
-        np.divide(1.0, var, out=iv)
-        xh *= iv
-        np.multiply(xh, gd, out=y[lo:hi])
-        y[lo:hi] += bd
-
-    _halves(len(x2), x2.size, forward)
+    gd = gamma.data
+    xhat = x2 - x2.mean(axis=-1, keepdims=True)  # (x - mean) / sqrt(var + eps)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    var += eps
+    np.sqrt(var, out=var)
+    inv = 1.0 / var
+    xhat *= inv
+    y = xhat * gd  # xhat * gamma + beta
+    y += beta.data
     requires = x.requires_grad or gamma.requires_grad or beta.requires_grad
     out = Tensor(_finish(y.reshape(x.data.shape)), requires_grad=requires)
 
@@ -785,20 +738,13 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         g2 = g.reshape(-1, d)
         if params:
             _batch_sums((g2, xhat), sums)
-        if x.requires_grad:
-            dx = np.empty_like(xhat)
-
-            def grad(lo, hi):  # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), gg = g * gamma
-                xh, t = xhat[lo:hi], dx[lo:hi]
-                gg = g2[lo:hi] * gd
-                m1 = gg.mean(axis=-1, keepdims=True)
-                m2 = (gg * xh).mean(axis=-1, keepdims=True)
-                np.multiply(xh, m2, out=t)
-                gg -= m1
-                np.subtract(gg, t, out=t)
-                t *= inv[lo:hi]
-
-            _halves(len(xhat), xhat.size, grad)
+        if x.requires_grad:  # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), gg = g * gamma
+            gg = g2 * gd
+            m1 = gg.mean(axis=-1, keepdims=True)
+            dx = xhat * (gg * xhat).mean(axis=-1, keepdims=True)
+            gg -= m1
+            np.subtract(gg, dx, out=dx)
+            dx *= inv
             x.accumulate_grad(dx.reshape(x.data.shape))
 
     _record(out, backward)

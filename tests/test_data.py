@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import swinmim.data as data_mod
 from conftest import write_synthetic_dataset
 from swinmim.data import (
     Batch,
     DatasetIndex,
     DecodeError,
+    ImageCache,
     ImageRecord,
     build_index,
     load_ppm,
@@ -211,12 +213,33 @@ class TestBatches:
         assert order(1, 0) != order(1, 1)
         assert order(1, 0) != order(2, 0)
 
+    def test_cache_of_another_size_refused(self, synthetic_root):
+        index = build_index(synthetic_root)
+        with pytest.raises(ValueError, match="img_size 64 .* 32px"):
+            next(make_batches(index, 4, 0, 0, 64, (0.5,) * 3, (0.5,) * 3,
+                              cache=ImageCache(32)))
+
     def test_one_hot_labels(self, synthetic_root):
         index = build_index(synthetic_root)
         batch = next(make_batches(index, 8, 0, 0, 64, (0.5,) * 3, (0.5,) * 3))
         assert batch.labels.shape == (8, 10)
         assert np.allclose(batch.labels.sum(axis=1), 1.0)
         assert (batch.labels.argmax(axis=1) == batch.class_ids).all()
+
+
+class TestImageCache:
+    def test_budget_bounds_stored_bytes_and_lookups_stay_exact(self, synthetic_root,
+                                                                monkeypatch):
+        budget = 5 * (32 * 32 * 3 * 4) // 2  # room for two 32px float32 images
+        monkeypatch.setattr(data_mod, "_CACHE_BUDGET", budget)
+        paths = [r.path for r in build_index(synthetic_root).records[:10]]
+        cache = ImageCache(32)
+        for path in paths + paths[::-1]:
+            img = cache.get(path)
+            assert sum(a.nbytes for a in cache._store.values()) <= budget
+            fresh = resize_bilinear(load_ppm(path), 32, 32).astype(np.float32)
+            assert img.dtype == np.float32 and img.tobytes() == fresh.tobytes()
+        assert list(cache._store) == paths[:2]
 
 
 class TestBuildIndex:

@@ -521,13 +521,34 @@ class TestHelperThread:
 
     def test_paper_shaped_ops_identical_on_and_off(self, helper_pool, monkeypatch):
         on, ref = paper_shaped_ops()
-        # forward and backward of linear, matmul, layer_norm, gelu and softmax,
-        # and AdamW on x and w
-        assert helper_pool.tasks >= 12
+        # linear's forward, its dW beside dx, and AdamW on x and w
+        assert helper_pool.tasks == 4
         monkeypatch.setattr(tensor_mod, "_POOL", False)
         off, _ = paper_shaped_ops()
         assert on == off
         assert on[:11] == ref
+
+    @pytest.mark.parametrize("op", ["gelu", "softmax", "layer_norm", "matmul"])
+    def test_row_local_ops_make_one_call(self, helper_pool, op):
+        """Forward and backward of these ops hand nothing to the helper at any
+        size: a batch pass splits once, at the batch (batch_halves)."""
+        rng = Rng(58)
+        rows = tensor_mod._SPLIT_MIN // 256
+
+        def leaf(i, shape):
+            return Tensor(rng.child(i).normal(size=shape).astype(np.float32), requires_grad=True)
+
+        x = leaf(0, (rows, 256))
+        leaves = {"gelu": (x,), "softmax": (x,), "layer_norm": (x, leaf(1, (256,)), leaf(2, (256,))),
+                  "matmul": (leaf(3, (128, 64, 32)), leaf(4, (128, 32, 64)))}[op]
+        with Tape() as tape:
+            y = {"gelu": gelu, "softmax": softmax, "layer_norm": layer_norm,
+                 "matmul": matmul}[op](*leaves)
+            loss = tensor_sum(mul(y, Tensor(rng.child(5).normal(size=y.shape).astype(np.float32))))
+        assert y.size == tensor_mod._SPLIT_MIN
+        tape.backward(loss)
+        assert all(t.grad is not None for t in leaves)
+        assert helper_pool.tasks == 0
 
     def test_halves_cut_does_not_depend_on_helper(self, helper_pool, monkeypatch):
         cuts = []
@@ -701,8 +722,19 @@ class TestHelperThread:
         if pid == 0:  # child: the parent's helper thread does not exist here
             code = 1
             try:
-                x = Tensor(np.ones(tensor_mod._SPLIT_MIN, np.float32))
-                code = 0 if np.array_equal(gelu(x).data, gelu(x).data) else 1
+                # a helper even where this process may use one CPU
+                tensor_mod.os.sched_getaffinity = lambda pid: {0, 1}
+                ran, in_errstate = [], tensor_mod._in_errstate
+
+                def recorded(err, fn):
+                    ran.append(threading.current_thread().name)
+                    return in_errstate(err, fn)
+
+                tensor_mod._in_errstate = recorded
+                x = Tensor(np.ones((tensor_mod._SPLIT_MIN // 256, 256), np.float32))
+                y = linear(x, Tensor(np.ones((256, 256), np.float32)))  # two row halves
+                code = 0 if ((y.data == 256.0).all() and tensor_mod._POOL is not helper_pool
+                             and ran and all(n.startswith("swinmim-helper") for n in ran)) else 1
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 60
