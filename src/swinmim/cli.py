@@ -248,6 +248,9 @@ def main(argv=None):
     except (OSError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:  # numpy's names the allocation that failed
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -92,6 +92,8 @@ class SwinConfig:
             raise ConfigError("depths and heads must have the same length")
         if any(d <= 0 or d % 2 for d in self.depths):
             raise ConfigError(f"stage depths must be positive and even, got {self.depths}")
+        if self.embed_dim < 1:
+            raise ConfigError("embed_dim must be >= 1")
         for s, h in enumerate(self.heads):
             if h <= 0 or self.stage_dim(s) % h:
                 raise ConfigError(
@@ -104,8 +106,11 @@ class SwinConfig:
             raise ConfigError("window_size must be >= 1")
         if not 0 <= self.effective_shift < max(self.window_size, 1):
             raise ConfigError("shift_size must lie in [0, window_size)")
-        if self.mlp_ratio <= 0:
-            raise ConfigError("mlp_ratio must be positive")
+        if not 0 < self.mlp_ratio < math.inf:
+            raise ConfigError("mlp_ratio must be positive and finite")
+        if round(self.mlp_ratio * self.embed_dim) == 0:  # stage 0 is the narrowest
+            raise ConfigError(f"mlp_ratio {self.mlp_ratio} gives stage 0 (width "
+                              f"{self.embed_dim}) an MLP hidden width of 0")
         if self.in_channels < 1 or self.num_classes < 1:
             raise ConfigError("in_channels and num_classes must be >= 1")
         if not 0.0 <= self.drop_path < 1.0:
@@ -373,10 +378,11 @@ class SwinEncoder:
         token_mask: optional bool array [B, H/4, W/4]; masked positions are
         replaced by `mask_token` right after the embedding norm.
         A forward of a large even batch runs as two half-batch forwards, one
-        per thread (tensor.batch_halves), with the same output bytes and,
-        under a tape, the same gradient bytes. Each block's position bias
-        depends only on parameters: it is made once, before the halves, and
-        its backward runs once, on the gradient both halves summed.
+        per thread (tensor.batch_halves), on any number of CPUs; under a
+        tape so does its backward. Their bytes are the reference: those of
+        each half run alone. Each block's position bias depends only on
+        parameters: it is made once, before the halves, and its backward
+        runs once, on the gradient both halves summed.
         """
         if images.ndim != 4:
             raise ShapeError(f"expected [B,H,W,C] images, got {images.shape}")

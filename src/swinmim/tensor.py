@@ -9,16 +9,15 @@ participating tensor with requires_grad set.
 Training runs in float32; gradient verification (grad_check) runs the same
 graph in float64 against central finite differences.
 
-Large work runs as two halves, the first on one helper thread when this
-process may use two CPUs. A batched pass runs as two half-batch passes
-(`batch_halves`), one per thread, that make the same kernel calls as the
-whole batch. Under a tape each half records on a tape of its own; their
-backward passes run at the same time and meet for every gradient that sums
-over the batch's rows, which is then made by one call over both halves' rows
-(`_Meet`). Outside a half only two kernels split: a product over rows
-(`linear`, `_row_product`) and AdamW cut their rows in two (`_halves`), and
-`linear`'s weight gradient runs beside its dx (`_pair`). Large work is always
-cut into the same calls, helper or not, so results do not depend on it.
+Large work runs as two halves, the first on one helper thread. A batched
+pass runs as two half-batch passes (`batch_halves`), one per thread. Under a
+tape each half records on a tape of its own; their backward passes run at the
+same time and meet for every gradient that sums over the batch's rows, which
+is then made by one call over both halves' rows (`_Meet`). Outside a half,
+only `linear`'s weight gradient runs beside its dx (`_pair`). The helper
+exists whatever the CPU count, and one CPU runs the same two halves
+time-sliced, so every host makes the same calls and results do not depend on
+the number of CPUs.
 """
 
 import collections
@@ -196,41 +195,51 @@ def _as_tensor(x, like):
 # ---------------------------------------------------------------------------
 
 # Work whose largest array holds fewer elements than this runs as one call on
-# the calling thread; larger work always runs as the same two calls, helper or
-# not: an encoder pass over an even batch as its two batch halves, and outside
-# them linear forward and its dx by row halves, linear backward as dW beside
-# dx, and AdamW by row halves. Within a batch half nothing splits again. One
-# hand-off to the helper (submit, run a no-op under the caller's errstate,
-# wait for it) measured about 50 us on a 2-core x86_64 host (Xeon, numpy
-# 2.4.6), and cheap row-local chains (softmax, layer norm) cost about 6 ns per
-# element, so a split pays for its hand-off from about 2**14 elements. The
-# threshold sits at the first power of two above every tensor of
-# configs/tiny.json (the largest is the MIM head's 128 x 3072 weight, 393,216
-# elements), so desk-scale runs keep their per-op cost; at 2**19 the half
-# moved off the caller is worth about thirty hand-offs.
+# the calling thread; larger work runs as two: an encoder pass over an even
+# batch as its two batch halves, and outside them linear backward as dW beside
+# dx. Within a batch half nothing splits again. One hand-off to the helper
+# (submit, run a no-op under the caller's errstate, wait for it) measured
+# about 50 us on a 2-core x86_64 host (Xeon, numpy 2.4.6), and cheap row-local
+# chains (softmax, layer norm) cost about 6 ns per element, so a split pays for
+# its hand-off from about 2**14 elements. The threshold sits at the first power
+# of two above every tensor of configs/tiny.json (the largest is the MIM
+# head's 128 x 3072 weight, 393,216 elements), so desk-scale runs keep their
+# per-op cost; at 2**19 the half moved off the caller is worth about thirty
+# hand-offs.
 _SPLIT_MIN = 1 << 19
 
-# One helper thread, made on first use when this process may run on at least
-# two CPUs; False when it may not. A task never submits another one. Kernel
-# halves (`_pair`, `_halves`) call only numpy; the first half of
-# `batch_halves` runs a pass of this package, and under a tape its backward,
-# and makes Tensors and arrays. Making the pool caps glibc at one malloc
-# arena, so the helper's arrays come from the caller's arena; an
-# arena of the helper's own keeps its pages resident (pretrain-192 peak RSS
-# 1185 MB uncapped, 1152 MB capped).
+# One helper thread, made on first use whatever the CPU count. A task never
+# submits another one. dW beside dx (`_pair`) calls only numpy; the first half
+# of `batch_halves` runs a pass of this package, and under a tape its
+# backward, and makes Tensors and arrays. Making the pool caps glibc at one
+# malloc arena, so the helper's arrays come from the caller's arena; an arena
+# of the helper's own keeps its pages resident (pretrain-192 peak RSS 1185 MB
+# uncapped, 1152 MB capped). It also fixes where that arena's memory lives. A
+# split step allocates and frees hundreds of MB, and glibc's defaults (an mmap
+# threshold that rises with each freed mapping, a heap top trimmed whenever
+# enough of it is free) return a different share of it to the kernel each
+# step depending on the order the two threads free their arrays: one
+# finetune-224 process faulted in about 18k pages a step, the next about 180k
+# (300-450 ms of system time a step). Arrays below 32 MiB (glibc's largest
+# mmap threshold) now always come from the heap, and the heap is never
+# trimmed, so its pages stay mapped from step to step (no page faults after
+# the first few steps; peak RSS unchanged).
 _POOL = None
 _POOL_LOCK = threading.Lock()
-_M_ARENA_MAX = -8  # glibc mallopt parameter
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # glibc mallopt parameters
 
 
-def _one_malloc_arena():
-    """Cap glibc at one malloc arena; a no-op where there is no mallopt."""
+def _steady_malloc():
+    """Cap glibc at one malloc arena, serve arrays below 32 MiB from its
+    heap and never trim it; a no-op where there is no mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # no such symbol, or no C library handle
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_ARENA_MAX, 1)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, -1)  # -1: never trim
 
 
 def _forget_pool():
@@ -250,14 +259,9 @@ def _helper(size):
     if _POOL is None:
         with _POOL_LOCK:
             if _POOL is None:
-                cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                        else os.cpu_count() or 1)
-                if cpus >= 2:
-                    _one_malloc_arena()
-                    _POOL = ThreadPoolExecutor(1, thread_name_prefix="swinmim-helper")
-                else:
-                    _POOL = False
-    return _POOL or None
+                _steady_malloc()
+                _POOL = ThreadPoolExecutor(1, thread_name_prefix="swinmim-helper")
+    return _POOL
 
 
 def _in_errstate(err, fn):
@@ -268,8 +272,10 @@ def _in_errstate(err, fn):
 def _pair(f, g, size):
     """(f(), g()), with f on the helper thread when g is given, the largest
     array holds at least _SPLIT_MIN elements and this thread runs no half of
-    batch_halves. f runs under the caller's np.errstate. A g given as None
-    is skipped and yields None. The caller waits for f even when g raises."""
+    batch_halves; its two uses are linear's dW beside its dx and the two
+    halves of batch_halves. f runs under the caller's np.errstate. A g given
+    as None is skipped and yields None. The caller waits for f even when g
+    raises."""
     pool = _helper(size) if g is not None and _THREAD.half is None else None
     if pool is None:
         return f(), (None if g is None else g())
@@ -280,59 +286,6 @@ def _pair(f, g, size):
         wait((future,))
         raise
     return future.result(), b
-
-
-def _cuts(n, size):
-    """The row ranges [lo, hi) of the calls that make work over n rows:
-    (0, n) below _SPLIT_MIN, from there on always (0, n // 2) and (n // 2, n).
-    Within a half of batch_halves it is always the one range (0, n).
-
-    The cut depends only on n and size, never on the helper, so a GEMM cut by
-    rows makes the same BLAS calls with the helper on and off. (A BLAS may
-    block a GEMM differently by its row count, so one call over all rows and
-    two calls over halves need not give the same bytes.)"""
-    if n < 2 or size < _SPLIT_MIN or _THREAD.half is not None:
-        return ((0, n),)
-    return (0, n // 2), (n // 2, n)
-
-
-def _halves(n, size, fn):
-    """fn(lo, hi) for each range of _cuts(n, size); of two calls, the first
-    runs on the helper thread when there is one. fn writes only rows [lo, hi)."""
-    first, *rest = _cuts(n, size)
-    if not rest:
-        fn(*first)
-    else:
-        _pair(lambda: fn(*first), lambda: fn(*rest[0]), size)
-
-
-def _row_product(a, b, on_caller=False):
-    """a @ b for a stack of rows a [n, k], made by the GEMMs that the whole
-    batch makes: one per range of _cuts, the first on the helper thread
-    unless `on_caller`. Within a half of batch_halves the whole batch has
-    twice these rows; a product that it makes as one GEMM is made at its
-    height, with this half's rows in place and zero rows for the other
-    half's, since a BLAS may give a row another value in a GEMM over fewer
-    rows. This half's rows are copied out, so that a tape keeping the
-    result does not keep the other half's rows too."""
-    rows, half = len(a), _THREAD.half
-    height = rows if half is None else 2 * rows
-    size = max(height * a.shape[1], height * b.shape[1], b.size)
-    if half is not None and size < _SPLIT_MIN:
-        whole = np.zeros((height, a.shape[1]), a.dtype)
-        whole[half * rows:(half + 1) * rows] = a
-        return np.matmul(whole, b)[half * rows:(half + 1) * rows].copy()
-    out = np.empty((rows, b.shape[1]), np.result_type(a, b))
-
-    def fill(lo, hi):
-        np.matmul(a[lo:hi], b, out=out[lo:hi])
-
-    if on_caller:
-        for lo, hi in _cuts(rows, size):
-            fill(lo, hi)
-    else:
-        _halves(rows, size, fill)
-    return out
 
 
 class _Meet:
@@ -413,15 +366,14 @@ def batch_halves(n, size, fn):
     """The Tensor joining fn(0, n // 2) and fn(n // 2, n) along axis 0, the
     first run on the helper thread (see _pair), for a pass over an even
     batch of n items whose largest array holds at least _SPLIT_MIN elements;
-    None when there is no helper or any of that does not hold, and the
-    caller then runs the whole batch itself.
+    None when any of that does not hold or this thread already runs a half,
+    and the caller then runs the whole batch itself.
 
     fn(lo, hi) runs the pass on items [lo, hi) and returns a Tensor; the rows
-    of every kernel's arrays must come in whole items. Each half then
-    computes every value as the whole batch would: the whole batch's cut at
-    n // 2 falls on the batch halves, kernels below _SPLIT_MIN compute each
-    row (a batched matmul each window's GEMM) on its own, and a product that
-    the whole batch makes as one GEMM is made at its height (_row_product).
+    of every kernel's arrays must come in whole items. The halves are the
+    reference: each makes every kernel call at its own height, and a whole
+    batch of the same n may differ from them where a BLAS blocks a GEMM by
+    its row count. On one CPU the two threads run time-sliced.
 
     Under a tape each half records on a fresh tape of its own, and the join
     is one op on the caller's tape. Its backward gives each half its rows of
@@ -449,14 +401,12 @@ def batch_halves(n, size, fn):
     rows = len(first.data)
 
     def backward(g):
-        both = _helper(size) is not None  # the halves run at the same time
-
         def replay(index, root, grad):
             try:
                 tapes[index].backward(root, grad)
             finally:
                 meet.leave()
-            meet.run_ready(until_both_left=both)
+            meet.run_ready(until_both_left=True)
 
         _pair(lambda: _run_half(0, meet, lambda: replay(0, first, g[:rows])),
               lambda: _run_half(1, meet, lambda: replay(1, second, g[rows:])), size)
@@ -620,7 +570,7 @@ def linear(x, weight, bias=None):
     if x.shape[-1] != d_in:
         raise ShapeError(f"linear: input dim {x.shape[-1]} != weight rows {d_in}")
     x2, w = x.data.reshape(-1, d_in), weight.data
-    y2 = _row_product(x2, w)
+    y2 = np.matmul(x2, w)
     if bias is not None:
         y2 += bias.data
     out_shape = x.shape[:-1] + (d_out,)
@@ -634,7 +584,7 @@ def linear(x, weight, bias=None):
 
     def backward(g):
         g2 = g.reshape(-1, d_out)
-        dx = (lambda: _row_product(g2, w.T, on_caller=bool(params))) if x.requires_grad else None
+        dx = (lambda: np.matmul(g2, w.T)) if x.requires_grad else None
         if params:  # the sums on the helper thread while this one makes dx
             gx = _batch_sums((x2, g2), sums, dx, max(x2.size, g2.size, w.size))
         else:

@@ -8,7 +8,6 @@ between phases). Checkpoints use a little-endian binary format that
 round-trips parameters bitwise, so interrupted runs resume exactly.
 """
 
-import functools
 import json
 import math
 import os
@@ -24,7 +23,7 @@ from .data import ImageCache, make_batches
 from .mim import MIMPretrainModel, generate_mask, pretrain_step
 from .rng import Rng
 from .swin import SwinClassifier, SwinConfig
-from .tensor import Tape, Tensor, _halves, log_softmax, mul, tensor_sum
+from .tensor import Tape, Tensor, log_softmax, mul, tensor_sum
 
 # rng sub-stream tags
 _INIT, _DATA, _MASK, _AUG, _DROP = 0, 1, 2, 3, 4
@@ -53,11 +52,11 @@ class AdamW:
 
     update: m = b1*m + (1-b1)*g ; v = b2*v + (1-b2)*g^2
             theta -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta)
-    Params whose grad is None are skipped entirely. The update runs in
-    place with the same float operations in the same order as the formula
-    above, over blocks of whole rows of about _ADAM_BLOCK elements. A large
-    param is updated as two row halves, the first on the helper thread when
-    there is one, each through its own two block-sized scratch buffers.
+    Params whose grad is None are skipped entirely. The update runs on the
+    calling thread, in place, with the same float operations in the same
+    order as the formula above, over blocks of whole rows of about
+    _ADAM_BLOCK elements, each through the same two block-sized scratch
+    buffers. It is bound by memory bandwidth: a second thread gained nothing.
     """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.05):
@@ -70,8 +69,7 @@ class AdamW:
         self.step_count = 0
         nbytes = max((min(len(d), _block_rows(d)) * d[:1].nbytes
                       for d in (np.atleast_1d(p.data) for p in self.params.values())), default=0)
-        self._scratch = [(np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8))
-                         for _ in range(2)]  # one pair per row half
+        self._scratch = (np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8))
 
     def step(self, lr):
         self.step_count += 1
@@ -81,20 +79,16 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
-            data, g, m, v = np.atleast_1d(p.data, g, self.m[name], self.v[name])
-            _halves(len(data), data.size,
-                    functools.partial(self._update, data, g, m, v, lr, c1, c2))
+            self._update(*np.atleast_1d(p.data, g, self.m[name], self.v[name]), lr, c1, c2)
             p.grad = None
 
-    def _update(self, data, g, m, v, lr, c1, c2, lo, hi):
-        """The update of rows [lo, hi) of one param, block by block through
-        the scratch of its half."""
-        scratch = self._scratch[lo > 0]
+    def _update(self, data, g, m, v, lr, c1, c2):
+        """The update of one param, block by block through the scratch."""
         rows = _block_rows(data)
-        for a in range(lo, hi, rows):
-            block = slice(a, min(a + rows, hi))
+        for a in range(0, len(data), rows):
+            block = slice(a, a + rows)
             s1, s2 = (buf[:data[block].nbytes].view(data.dtype).reshape(data[block].shape)
-                      for buf in scratch)
+                      for buf in self._scratch)
             self._update_block(data[block], g[block], m[block], v[block], lr, c1, c2, s1, s2)
 
     def _update_block(self, data, g, m, v, lr, c1, c2, s1, s2):

@@ -82,7 +82,7 @@ class CountingPool(ThreadPoolExecutor):
 
 @pytest.fixture
 def helper_pool(monkeypatch):
-    """A helper thread even where this process may use only one CPU."""
+    """A fresh helper thread that counts the tasks handed to it."""
     pool = CountingPool()
     monkeypatch.setattr(tensor_mod, "_POOL", pool)
     yield pool

@@ -64,6 +64,16 @@ class TestParsing:
             main([])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 1.82 PiB", ""])
+    def test_memory_error_exit_1(self, tiny_config_path, capsys, monkeypatch, message):
+        def exhausted(args):  # a stub: nothing is allocated
+            raise MemoryError(message)
+
+        monkeypatch.setattr("swinmim.cli.cmd_count", exhausted)
+        assert main(["count", "--config", tiny_config_path]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: out of memory" + (f": {message}" if message else "") + "\n"
+
 
 class TestCount:
     def test_msa_example(self, capsys):
@@ -215,6 +225,18 @@ class TestPretrainCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err == "error: model.in_channels 1 != the 3 image channels of data.mean\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["count", "pretrain"])
+    def test_mlp_ratio_without_hidden_width_exit_2(self, tiny_config_path, micro_root, tmp_path,
+                                                   capsys, command):
+        args = [] if command == "count" else ["--data", micro_root, "--out", str(tmp_path / "o")]
+        code = main([command, "--config", tiny_config_path, *args,
+                     "--override", "model.mlp_ratio=0.01"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("error: model: mlp_ratio 0.01 gives stage 0 (width 16) an MLP hidden "
+                       "width of 0\n")
         assert not (tmp_path / "o").exists()
 
     def test_unknown_override_exit_2(self, tiny_config_path, micro_root, tmp_path):

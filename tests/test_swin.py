@@ -1,6 +1,7 @@
 import functools
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -474,10 +475,9 @@ class TestEncoder:
 @pytest.fixture
 def split_tiny(helper_pool, monkeypatch):
     """A helper thread, and a split threshold at which a tiny-config encoder
-    splits at B=4: its stage-0 kernels are above it and the stage-1 proj
-    linear, made as one GEMM by the whole batch, is below it. The pool's
-    `halves` lists (index, taped, ran on the helper) for each batch half
-    run, forward or backward."""
+    splits at B=4: its stage-0 kernels are above it. The pool's `halves`
+    lists (index, taped, ran on the helper) for each batch half run, forward
+    or backward."""
     monkeypatch.setattr(tensor_mod, "_SPLIT_MIN", 1 << 14)
     run, helper_pool.halves = tensor_mod._run_half, []
 
@@ -494,8 +494,24 @@ def encoder_bytes(encoder, images, token_mask=None, mask_token=None):
     return encoder(t32(images), token_mask=token_mask, mask_token=mask_token).numpy().tobytes()
 
 
-def whole_batch(monkeypatch):
+def whole_batch(monkeypatch, encoder=None):
+    """Run the whole batch instead of its halves; given the encoder, make the
+    whole batch's GEMMs of its linears (forward and dx) as the halves make
+    them, one per batch half, since a BLAS may block a GEMM by its row count.
+    The heads' GEMMs and every dW stay over the whole batch's rows."""
     monkeypatch.setattr(swin_mod, "batch_halves", lambda n, size, fn: None)
+    if encoder is None:
+        return
+    weights = {id(p.data) for _, p in encoder.named_params() if p.data.ndim == 2}
+
+    def matmul(a, b):
+        if id(b if b.base is None else b.base) not in weights:
+            return np.matmul(a, b)
+        return np.concatenate([np.matmul(a[:len(a) // 2], b), np.matmul(a[len(a) // 2:], b)])
+
+    by_halves = types.ModuleType("numpy")
+    vars(by_halves).update(vars(np), matmul=matmul)
+    monkeypatch.setattr(tensor_mod, "np", by_halves)
 
 
 def step_bytes(model, loss_fn):
@@ -511,7 +527,8 @@ def step_bytes(model, loss_fn):
 
 class TestHelperThread:
     """An encoder forward runs as two batch halves, and under a tape so does
-    its backward, with the same bytes."""
+    its backward, with the bytes of the whole batch made at the halves'
+    heights."""
 
     def setup_method(self):
         rng = Rng(16)
@@ -541,14 +558,21 @@ class TestHelperThread:
         split = self.outputs()
         assert split_tiny.tasks == 2  # one batch half per forward, nothing else
         assert sorted(split_tiny.halves) == [(0, False, True)] * 2 + [(1, False, False)] * 2
-        whole_batch(monkeypatch)
+        whole_batch(monkeypatch, self.encoder)
         assert self.outputs() == split
-        assert split_tiny.tasks > 2  # the whole batch split its large kernels instead
+        assert split_tiny.tasks == 2  # a tape-free whole batch splits nothing
 
-    def test_same_with_helper_on_and_off(self, split_tiny, monkeypatch):
-        on = self.outputs()
-        monkeypatch.setattr(tensor_mod, "_POOL", False)
-        assert self.outputs() == on
+    def test_split_forward_matches_halves_run_alone(self, split_tiny, monkeypatch):
+        """The reference of a split forward: each half as a whole batch of
+        its own, every kernel call at the half's height, under any BLAS."""
+        split = self.outputs()
+        whole_batch(monkeypatch)
+        images, mask = self.images, self.mask
+        alone = []
+        for lo, hi in ((0, 2), (2, 4)):
+            self.images, self.mask = images[lo:hi], mask[lo:hi]
+            alone.append(self.outputs())
+        assert split == tuple(a + b for a, b in zip(*alone))
 
     @pytest.mark.parametrize("model", ["mim", "classifier"])
     def test_split_step_matches_whole_batch(self, split_tiny, monkeypatch, model):
@@ -556,26 +580,11 @@ class TestHelperThread:
         split = step()
         # a forward and a backward per half, half 0's on the helper
         assert sorted(split_tiny.halves) == [(0, True, True)] * 2 + [(1, True, False)] * 2
-        whole_batch(monkeypatch)
+        whole_batch(monkeypatch, (self.mim if model == "mim" else self.clf).encoder)
         assert step() == split
 
-    def test_split_step_same_with_helper_on_and_off(self, split_tiny, monkeypatch):
-        on = self.mim_step()
-        replay = tensor_mod.Tape.backward
-
-        def helper_gone(tape, root, grad=None):  # the halves' backward runs one after the other
-            monkeypatch.setattr(tensor_mod, "_POOL", False)
-            return replay(tape, root, grad)
-
-        monkeypatch.setattr(tensor_mod.Tape, "backward", helper_gone)
-        assert self.mim_step() == on
-        assert split_tiny.halves[-2:] == [(0, True, False), (1, True, False)]
-        split_tiny.halves.clear()
-        assert self.mim_step() == on  # no helper: the whole batch
-        assert split_tiny.halves == []
-
-    @pytest.mark.parametrize("case", ["odd batch", "drop path", "input grad", "no helper",
-                                      "small", "mask length"])
+    @pytest.mark.parametrize("case", ["odd batch", "drop path", "input grad", "small",
+                                      "mask length"])
     def test_no_split(self, split_tiny, monkeypatch, case):
         """A taped training step that must or cannot split runs the whole batch."""
         images, encoder = self.images, self.encoder
@@ -583,8 +592,6 @@ class TestHelperThread:
             images = np.concatenate([images, images[:1]])
         elif case == "drop path":  # stochastic depth draws over the whole batch
             encoder = SwinEncoder(tiny_config(drop_path=0.1), Rng(16).child(0))
-        elif case == "no helper":
-            monkeypatch.setattr(tensor_mod, "_POOL", False)
         elif case == "small":  # tiny-config work at B=4 sits below the real threshold
             monkeypatch.setattr(tensor_mod, "_SPLIT_MIN", 1 << 15)
         x = t32(images, grad=case == "input grad")
@@ -682,6 +689,14 @@ class TestConfigValidation:
     def test_img_size_multiple(self):
         with pytest.raises(ConfigError):
             tiny_config(img_size=60).validate()
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("mlp_ratio", 0.01, "stage 0 \\(width 16\\) an MLP hidden width of 0"),
+        ("mlp_ratio", float("inf"), "positive and finite"),
+        ("embed_dim", 0, "embed_dim must be >= 1")])
+    def test_zero_width_rejected(self, field, value, match):
+        with pytest.raises(ConfigError, match=match):
+            tiny_config(**{field: value}).validate()
 
     def test_default_shift_is_half_window(self):
         assert SwinConfig(window_size=7).effective_shift == 3

@@ -457,11 +457,9 @@ class TestTapeMemoryContract:
 
 def paper_shaped_ops():
     """Linear, layer_norm, gelu, matmul and softmax on arrays above the split
-    threshold, then one AdamW step. Returns (kernel bytes, reference bytes):
-    the outputs, grads, params and moments the kernels give, and the
-    outputs and grads of the same arithmetic as numpy expressions: linear's
-    forward and its dx as two GEMMs over row halves, everything else over
-    whole arrays."""
+    threshold. Returns (kernel bytes, reference bytes): the outputs and
+    grads the kernels give, and those of the same arithmetic as numpy
+    expressions over whole arrays, each GEMM one call."""
     rng = Rng(51)
 
     def leaf(i, shape):
@@ -498,40 +496,31 @@ def paper_shaped_ops():
     g_s = (probe_a - (probe_a * soft).sum(axis=-1, keepdims=True)) * soft
     g2 = g_z.reshape(-1, 1536)
     x2 = x.data.reshape(-1, 384)
-    halves = np.concatenate([x2[:784] @ w.data, x2[784:] @ w.data])
-    reference = [(halves + b.data).reshape(z.shape).tobytes(), np.matmul(q.data, k.data).tobytes(),
-                 (y * cdf).tobytes(), soft.tobytes(),
-                 np.concatenate([g2[:784] @ w.data.T, g2[784:] @ w.data.T]).reshape(x.shape)
-                 .tobytes(),
+    reference = [(x2 @ w.data + b.data).reshape(z.shape).tobytes(),
+                 np.matmul(q.data, k.data).tobytes(), (y * cdf).tobytes(), soft.tobytes(),
+                 (g2 @ w.data.T).reshape(x.shape).tobytes(),
                  (x2.T @ g2).tobytes(), g2.sum(axis=0).tobytes(),
                  (g_y * xhat).reshape(-1, 1536).sum(axis=0).tobytes(),
                  g_y.reshape(-1, 1536).sum(axis=0).tobytes(),
                  np.matmul(g_s, np.swapaxes(k.data, -1, -2)).tobytes(),
                  np.matmul(np.swapaxes(q.data, -1, -2), g_s).tobytes()]
-
-    opt = AdamW(leaves)
-    opt.step(1e-2)
-    kernel += [t.data.tobytes() for t in leaves.values()]
-    kernel += [opt.m[n].tobytes() + opt.v[n].tobytes() for n in leaves]
     return kernel, reference
 
 
 class TestHelperThread:
-    """Large work splits across the helper thread; results never depend on it."""
+    """Large work splits across the helper thread, into the calls a whole
+    array makes."""
 
-    def test_paper_shaped_ops_identical_on_and_off(self, helper_pool, monkeypatch):
-        on, ref = paper_shaped_ops()
-        # linear's forward, its dW beside dx, and AdamW on x and w
-        assert helper_pool.tasks == 4
-        monkeypatch.setattr(tensor_mod, "_POOL", False)
-        off, _ = paper_shaped_ops()
-        assert on == off
-        assert on[:11] == ref
+    def test_paper_shaped_ops_match_numpy(self, helper_pool):
+        kernel, reference = paper_shaped_ops()
+        assert helper_pool.tasks == 1  # linear's dW beside its dx
+        assert kernel == reference
 
-    @pytest.mark.parametrize("op", ["gelu", "softmax", "layer_norm", "matmul"])
+    @pytest.mark.parametrize("op", ["gelu", "softmax", "layer_norm", "matmul", "linear"])
     def test_row_local_ops_make_one_call(self, helper_pool, op):
-        """Forward and backward of these ops hand nothing to the helper at any
-        size: a batch pass splits once, at the batch (batch_halves)."""
+        """The forward of these ops hands nothing to the helper at any size,
+        and neither does their backward, but for linear's dW beside its dx: a
+        batch pass splits once, at the batch (batch_halves)."""
         rng = Rng(58)
         rows = tensor_mod._SPLIT_MIN // 256
 
@@ -540,47 +529,17 @@ class TestHelperThread:
 
         x = leaf(0, (rows, 256))
         leaves = {"gelu": (x,), "softmax": (x,), "layer_norm": (x, leaf(1, (256,)), leaf(2, (256,))),
-                  "matmul": (leaf(3, (128, 64, 32)), leaf(4, (128, 32, 64)))}[op]
+                  "matmul": (leaf(3, (128, 64, 32)), leaf(4, (128, 32, 64))),
+                  "linear": (x, leaf(6, (256, 256)), leaf(7, (256,)))}[op]
         with Tape() as tape:
             y = {"gelu": gelu, "softmax": softmax, "layer_norm": layer_norm,
-                 "matmul": matmul}[op](*leaves)
+                 "matmul": matmul, "linear": linear}[op](*leaves)
+            assert helper_pool.tasks == 0
             loss = tensor_sum(mul(y, Tensor(rng.child(5).normal(size=y.shape).astype(np.float32))))
         assert y.size == tensor_mod._SPLIT_MIN
         tape.backward(loss)
         assert all(t.grad is not None for t in leaves)
-        assert helper_pool.tasks == 0
-
-    def test_halves_cut_does_not_depend_on_helper(self, helper_pool, monkeypatch):
-        cuts = []
-        for pool in (helper_pool, False):
-            monkeypatch.setattr(tensor_mod, "_POOL", pool)
-            for size in (tensor_mod._SPLIT_MIN, tensor_mod._SPLIT_MIN - 1):
-                calls = []
-                tensor_mod._halves(7, size, lambda lo, hi: calls.append((lo, hi)))
-                cuts.append(sorted(calls))
-        assert cuts == [[(0, 3), (3, 7)], [(0, 7)]] * 2
-        assert helper_pool.tasks == 1
-
-    def test_adamw_halves_match_whole_update(self, helper_pool, monkeypatch):
-        rng = Rng(52)
-        shapes = {"w": (1536, 384), "t": (3, 700, 300), "b": (1536,), "s": ()}
-        init = {n: rng.child(i, 0).normal(size=sh).astype(np.float32)
-                for i, (n, sh) in enumerate(shapes.items())}
-        grads = [{n: rng.child(i, t).normal(size=sh).astype(np.float32)
-                  for i, (n, sh) in enumerate(shapes.items())} for t in (1, 2)]
-        results = []
-        for pool in (helper_pool, False):
-            monkeypatch.setattr(tensor_mod, "_POOL", pool)
-            params = {n: Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
-            opt = AdamW(params)
-            for lr, step_grads in zip((1e-2, 5e-3), grads):
-                for n, p in params.items():
-                    p.grad = step_grads[n].copy()
-                opt.step(lr)
-            results.append([params[n].data.tobytes() + opt.m[n].tobytes() + opt.v[n].tobytes()
-                            for n in shapes])
-        assert helper_pool.tasks == 4  # w and t, two steps
-        assert results[0] == results[1]
+        assert helper_pool.tasks == (op == "linear")
 
     def test_tiny_model_stays_on_caller(self, monkeypatch):
         class NoSplits:
@@ -618,16 +577,6 @@ class TestHelperThread:
         with pytest.raises(ValueError, match="boom"):
             tensor_mod._pair(f, g, tensor_mod._SPLIT_MIN)
         assert finished.is_set()  # the caller waited for the helper first
-
-        def half(lo, hi):
-            if (lo == 0) == (raising == "helper"):
-                raise ValueError("boom")
-            slow()
-
-        finished.clear()
-        with pytest.raises(ValueError, match="boom"):
-            tensor_mod._halves(4, tensor_mod._SPLIT_MIN, half)
-        assert finished.is_set()
 
     def test_helper_tasks_see_callers_errstate(self, helper_pool):
         caller = threading.get_ident()
@@ -710,10 +659,10 @@ class TestHelperThread:
                 assert np.array_equal(g.grad, expected[k].sum(axis=0)), k
 
     def test_small_work_runs_on_caller(self, helper_pool):
-        idents = []
-        tensor_mod._halves(8, tensor_mod._SPLIT_MIN - 1, lambda lo, hi: idents.append(
-            (threading.get_ident(), lo, hi)))
-        assert idents == [(threading.get_ident(), 0, 8)]
+        idents = tensor_mod._pair(threading.get_ident, threading.get_ident,
+                                  tensor_mod._SPLIT_MIN - 1)
+        assert idents == (threading.get_ident(),) * 2
+        assert tensor_mod.batch_halves(8, tensor_mod._SPLIT_MIN - 1, None) is None
         assert helper_pool.tasks == 0
 
     def test_forked_child_makes_its_own_helper(self, helper_pool):
@@ -722,19 +671,11 @@ class TestHelperThread:
         if pid == 0:  # child: the parent's helper thread does not exist here
             code = 1
             try:
-                # a helper even where this process may use one CPU
-                tensor_mod.os.sched_getaffinity = lambda pid: {0, 1}
-                ran, in_errstate = [], tensor_mod._in_errstate
-
-                def recorded(err, fn):
-                    ran.append(threading.current_thread().name)
-                    return in_errstate(err, fn)
-
-                tensor_mod._in_errstate = recorded
-                x = Tensor(np.ones((tensor_mod._SPLIT_MIN // 256, 256), np.float32))
-                y = linear(x, Tensor(np.ones((256, 256), np.float32)))  # two row halves
-                code = 0 if ((y.data == 256.0).all() and tensor_mod._POOL is not helper_pool
-                             and ran and all(n.startswith("swinmim-helper") for n in ran)) else 1
+                x = np.ones((tensor_mod._SPLIT_MIN // 256, 256), np.float32)
+                name, y = tensor_mod._pair(lambda: threading.current_thread().name,
+                                           lambda: x.sum(axis=1), x.size)
+                code = 0 if ((y == 256.0).all() and tensor_mod._POOL is not helper_pool
+                             and name.startswith("swinmim-helper")) else 1
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 60
@@ -749,21 +690,19 @@ class TestHelperThread:
             pytest.fail("a split op in a forked child did not finish")
         assert os.waitstatus_to_exitcode(status) == 0
 
-    def test_no_helper_on_one_cpu(self, monkeypatch):
-        monkeypatch.setattr(tensor_mod, "_POOL", None)
-        monkeypatch.setattr(tensor_mod.os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(tensor_mod, "_one_malloc_arena", lambda: pytest.fail("arena capped"))
-        assert tensor_mod._helper(tensor_mod._SPLIT_MIN) is None
-        assert tensor_mod._POOL is False
-
     def test_making_the_helper_caps_malloc_arenas_once(self, monkeypatch):
-        tensor_mod._one_malloc_arena()  # glibc, or a no-op where there is no mallopt
+        """One CPU gets a helper too, and making it caps the arenas once."""
+        tensor_mod._steady_malloc()  # glibc, or a no-op where there is no mallopt
         capped = []
         monkeypatch.setattr(tensor_mod, "_POOL", None)
-        monkeypatch.setattr(tensor_mod.os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(tensor_mod, "_one_malloc_arena", lambda: capped.append(True))
+        monkeypatch.setattr(tensor_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(tensor_mod.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(tensor_mod, "_steady_malloc", lambda: capped.append(True))
+        assert tensor_mod._helper(tensor_mod._SPLIT_MIN - 1) is None
+        assert capped == []
         pool = tensor_mod._helper(tensor_mod._SPLIT_MIN)
         try:
+            assert pool is not None
             assert tensor_mod._helper(tensor_mod._SPLIT_MIN) is pool
         finally:
             pool.shutdown()
