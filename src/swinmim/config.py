@@ -119,6 +119,10 @@ class RunConfig:
         if self.model.in_channels != len(self.data.mean):
             raise ConfigError(f"model.in_channels {self.model.in_channels} != "
                               f"the {len(self.data.mean)} image channels of data.mean")
+        # masks are drawn for pretraining and for masked fine-tune input alike
+        if self.mask.mask_patch_size > self.model.img_size:
+            raise ConfigError(f"mask.mask_patch_size {self.mask.mask_patch_size} > "
+                              f"model.img_size {self.model.img_size}: no mask unit fits")
         return self
 
     def to_dict(self):

@@ -1,10 +1,12 @@
 """Dense CPU tensors and tape-based reverse-mode differentiation.
 
-A Tensor wraps a float32/float64 numpy array. Operations are plain
-functions; when a Tape is active and an output requires grad, the op
-appends a backward closure to the tape. `Tape.backward(loss)` replays the
-closures in reverse recorded order, accumulating gradients into every
-participating tensor with requires_grad set.
+A Tensor wraps a float32/float64 numpy array and a small gradient cell
+(`_Node`: shape, dtype, grad). Operations are plain functions; when a Tape
+is active and an output requires grad, the op appends a backward rule to the
+tape. A rule holds the cells of the tensors it sends gradients to and only
+the arrays it reads, never a Tensor, so an output that no rule reads is freed
+as soon as the forward drops it. `Tape.backward(loss)` replays the rules in
+reverse recorded order, accumulating gradients into every participating cell.
 
 Training runs in float32; gradient verification (grad_check) runs the same
 graph in float64 against central finite differences.
@@ -47,10 +49,48 @@ class ShapeError(ValueError):
     """Raised when tensor extents violate an operation's preconditions."""
 
 
-class Tensor:
-    """Row-major dense array with optional gradient participation."""
+class _Node:
+    """The gradient cell of one Tensor: what a backward rule needs of it.
 
-    __slots__ = ("data", "requires_grad", "grad")
+    Rules and tapes hold cells, not tensors, so a cell outlives its tensor's
+    data whenever no rule reads that data.
+    """
+
+    __slots__ = ("shape", "dtype", "grad")
+
+    def __init__(self, shape, dtype):
+        self.shape = shape
+        self.dtype = dtype
+        self.grad = None
+
+    def accumulate_grad(self, g):
+        """Add g into .grad; the first g is adopted without a copy.
+
+        Backward rules hand over arrays that nothing else holds, so a
+        C-contiguous, writeable g becomes .grad as is. Views that must not
+        be written through (read-only broadcasts, strided slices) are
+        copied, which also keeps every .grad C-contiguous. A rule that
+        passes one array to two inputs copies it for the second.
+        """
+        g = np.asarray(g, dtype=self.dtype)
+        if g.shape != self.shape:
+            raise ShapeError(f"grad shape {g.shape} != tensor shape {self.shape}")
+        if self.grad is not None:
+            self.grad += g
+        elif g.flags.c_contiguous and g.flags.writeable:
+            self.grad = g
+        else:
+            self.grad = g.copy()
+
+
+class Tensor:
+    """Row-major dense array with optional gradient participation.
+
+    `data` may be rebound only to an array of the same shape and dtype (as
+    the checkpoint loaders do), which keeps its gradient cell consistent.
+    """
+
+    __slots__ = ("data", "requires_grad", "node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -60,7 +100,7 @@ class Tensor:
             raise TypeError(f"unsupported dtype {arr.dtype}")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = None
+        self.node = _Node(arr.shape, arr.dtype)
 
     # -- introspection ----------------------------------------------------
 
@@ -89,29 +129,22 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
-    # -- gradients ---------------------------------------------------------
+    # -- gradients, kept in the cell --------------------------------------
+
+    @property
+    def grad(self):
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.node.grad = g
 
     def zero_grad(self):
-        self.grad = None
+        self.node.grad = None
 
     def accumulate_grad(self, g):
-        """Add g into .grad; the first g is adopted without a copy.
-
-        Backward rules hand over arrays that nothing else holds, so a
-        C-contiguous, writeable g becomes .grad as is. Views that must not
-        be written through (read-only broadcasts, strided slices) are
-        copied, which also keeps every .grad C-contiguous. A rule that
-        passes one array to two inputs copies it for the second.
-        """
-        g = np.asarray(g, dtype=self.data.dtype)
-        if g.shape != self.data.shape:
-            raise ShapeError(f"grad shape {g.shape} != tensor shape {self.data.shape}")
-        if self.grad is not None:
-            self.grad += g
-        elif g.flags.c_contiguous and g.flags.writeable:
-            self.grad = g
-        else:
-            self.grad = g.copy()
+        """Add g into .grad (see _Node.accumulate_grad)."""
+        self.node.accumulate_grad(g)
 
 
 class Tape:
@@ -120,13 +153,15 @@ class Tape:
     Use as a context manager around the forward pass, then call
     `backward(loss)`. A tape is active on the thread that entered it: ops
     executed while no tape is active on their thread are not recorded
-    (inference mode). Backward releases each record, with the arrays its
-    closure saved and its output's .grad, as soon as its rule has run, so
+    (inference mode). A record keeps its output's gradient cell and its
+    rule, not the output: the output's data lives only while the forward
+    or a rule holds it. Backward releases each record, with the arrays its
+    rule saved and its output's .grad, as soon as its rule has run, so
     afterwards the tape is empty and only leaves keep a .grad.
     """
 
     def __init__(self):
-        self._records = []  # (output Tensor, backward closure)
+        self._records = []  # (output's gradient cell, backward rule)
         self._used = False
         self._prev = None
 
@@ -143,24 +178,24 @@ class Tape:
         return len(self._records)
 
     def record(self, out, backward_fn):
-        self._records.append((out, backward_fn))
+        self._records.append((out.node, backward_fn))
 
     def backward(self, root, grad=None):
         """Replay backward rules in reverse order, filling leaf .grad fields.
 
-        `root` is usually the scalar loss; its gradient `grad` defaults to
-        ones. A tape may be replayed only once.
+        `root` is a Tensor, usually the scalar loss, or a gradient cell; its
+        gradient `grad` defaults to ones. A tape may be replayed only once.
         """
         if self._used:
             raise RuntimeError("tape already replayed; record a fresh tape")
         self._used = True
-        root.accumulate_grad(np.ones_like(root.data) if grad is None else grad)
+        root.accumulate_grad(np.ones(root.shape, root.dtype) if grad is None else grad)
         records = self._records
         while records:
-            out, fn = records.pop()
-            if out.grad is not None:
-                fn(out.grad)
-                out.grad = None
+            node, fn = records.pop()
+            if node.grad is not None:
+                fn(node.grad)
+                node.grad = None
 
 
 class _Thread(threading.local):
@@ -172,10 +207,14 @@ class _Thread(threading.local):
 _THREAD = _Thread()
 
 
+def _taped(out):
+    """Whether the op that made `out` records a backward rule."""
+    return out.requires_grad and _THREAD.tape is not None
+
+
 def _record(out, backward_fn):
-    tape = _THREAD.tape
-    if tape is not None and out.requires_grad:
-        tape.record(out, backward_fn)
+    if _taped(out):
+        _THREAD.tape.record(out, backward_fn)
 
 
 def _finish(arr):
@@ -188,6 +227,11 @@ def _as_tensor(x, like):
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=like.data.dtype))
+
+
+def _cell(t):
+    """t's gradient cell when t takes a gradient, else None."""
+    return t.node if t.requires_grad else None
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +384,8 @@ class _Meet:
             grads = sums(*whole)
             del whole
             with self._cond:
-                for tensor, g in grads:
-                    tensor.accumulate_grad(g)
+                for node, g in grads:
+                    node.accumulate_grad(g)
 
     def leave(self):
         with self._cond:
@@ -376,11 +420,13 @@ def batch_halves(n, size, fn):
     its row count. On one CPU the two threads run time-sliced.
 
     Under a tape each half records on a fresh tape of its own, and the join
-    is one op on the caller's tape. Its backward gives each half its rows of
-    the gradient and replays the two half tapes at the same time, half 0's
-    on the helper thread, waiting for both even when one raises. A rule that
-    sums a gradient over the batch's rows posts its rows (_batch_sums), so
-    each such sum is still one call over the whole batch's rows (_Meet).
+    is one op on the caller's tape, which keeps the two tapes and the
+    halves' gradient cells, not their outputs. Its backward gives each half
+    its rows of the gradient and replays the two half tapes at the same
+    time, half 0's on the helper thread, waiting for both even when one
+    raises. A rule that sums a gradient over the batch's rows posts its rows
+    (_batch_sums), so each such sum is still one call over the whole batch's
+    rows (_Meet).
     """
     if n % 2 or _THREAD.half is not None or _helper(size) is None:
         return None
@@ -398,18 +444,18 @@ def batch_halves(n, size, fn):
                           lambda: _run_half(1, meet, lambda: forward(1, n // 2, n)), size)
     out = Tensor(np.concatenate([first.data, second.data]),
                  requires_grad=first.requires_grad or second.requires_grad)
-    rows = len(first.data)
+    rows, roots = len(first.data), (first.node, second.node)
 
     def backward(g):
-        def replay(index, root, grad):
+        def replay(index, grad):
             try:
-                tapes[index].backward(root, grad)
+                tapes[index].backward(roots[index], grad)
             finally:
                 meet.leave()
             meet.run_ready(until_both_left=True)
 
-        _pair(lambda: _run_half(0, meet, lambda: replay(0, first, g[:rows])),
-              lambda: _run_half(1, meet, lambda: replay(1, second, g[rows:])), size)
+        _pair(lambda: _run_half(0, meet, lambda: replay(0, g[:rows])),
+              lambda: _run_half(1, meet, lambda: replay(1, g[rows:])), size)
         if meet.unmatched():
             raise RuntimeError(f"batch halves posted {meet.unmatched()} sums the other "
                                "half did not: their tapes recorded different ops")
@@ -426,7 +472,7 @@ def _unbroadcast(g, shape):
 
 
 def _batch_sums(rows, sums, beside=None, size=0):
-    """Accumulate each (tensor, gradient) pair of sums(*rows), gradients that
+    """Accumulate each (cell, gradient) pair of sums(*rows), gradients that
     sum the arrays `rows` over their rows, and return beside() (None when
     not given). When both are given and the work is large, sums runs on the
     helper thread while this one runs beside (_pair).
@@ -438,22 +484,22 @@ def _batch_sums(rows, sums, beside=None, size=0):
         _THREAD.meet.post(_THREAD.half, rows, sums)
         return None if beside is None else beside()
     grads, out = _pair(lambda: sums(*rows), beside, size)
-    for tensor, g in grads:
-        tensor.accumulate_grad(g)
+    for node, g in grads:
+        node.accumulate_grad(g)
     return out
 
 
-def _grad_to(t, g, copy=False):
-    """Accumulate g into t, summed over the leading axes that t was broadcast
-    along. Returns whether t keeps g itself (adopts it, or posts it until the
-    other batch half's rows arrive); with `copy`, set when another tensor
-    keeps g, t keeps a copy instead."""
-    if g.ndim > t.ndim:
+def _grad_to(node, g, copy=False):
+    """Accumulate g into a gradient cell, summed over the leading axes that
+    its tensor was broadcast along. Returns whether the cell keeps g itself
+    (adopts it, or posts it until the other batch half's rows arrive); with
+    `copy`, set when another cell keeps g, this one keeps a copy instead."""
+    if g.ndim > len(node.shape):
         keeps = _THREAD.meet is not None
         _batch_sums((g.copy() if copy and keeps else g,),
-                     lambda g: [(t, _unbroadcast(g, t.data.shape))])
+                     lambda g: [(node, _unbroadcast(g, node.shape))])
         return keeps
-    t.accumulate_grad(g.copy() if copy else g)
+    node.accumulate_grad(g.copy() if copy else g)
     return True
 
 
@@ -465,11 +511,12 @@ def _grad_to(t, g, copy=False):
 def add(a, b):
     b = _as_tensor(b, a)
     out = Tensor(_finish(a.data + b.data), requires_grad=a.requires_grad or b.requires_grad)
+    an, bn = _cell(a), _cell(b)
 
     def backward(g):
-        kept = a.requires_grad and _grad_to(a, g)
-        if b.requires_grad:
-            _grad_to(b, g, copy=kept)
+        kept = an is not None and _grad_to(an, g)
+        if bn is not None:
+            _grad_to(bn, g, copy=kept)
 
     _record(out, backward)
     return out
@@ -478,12 +525,13 @@ def add(a, b):
 def sub(a, b):
     b = _as_tensor(b, a)
     out = Tensor(_finish(a.data - b.data), requires_grad=a.requires_grad or b.requires_grad)
+    an, bn = _cell(a), _cell(b)
 
     def backward(g):
-        if a.requires_grad:
-            _grad_to(a, g)
-        if b.requires_grad:
-            _grad_to(b, -g)
+        if an is not None:
+            _grad_to(an, g)
+        if bn is not None:
+            _grad_to(bn, -g)
 
     _record(out, backward)
     return out
@@ -492,12 +540,15 @@ def sub(a, b):
 def mul(a, b):
     b = _as_tensor(b, a)
     out = Tensor(_finish(a.data * b.data), requires_grad=a.requires_grad or b.requires_grad)
+    an, bn = _cell(a), _cell(b)
+    ad = a.data if bn is not None else None  # b's gradient reads a, and a's reads b
+    bd = b.data if an is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            _grad_to(a, g * b.data)
-        if b.requires_grad:
-            _grad_to(b, g * a.data)
+        if an is not None:
+            _grad_to(an, g * bd)
+        if bn is not None:
+            _grad_to(bn, g * ad)
 
     _record(out, backward)
     return out
@@ -505,10 +556,12 @@ def mul(a, b):
 
 def absolute(x):
     out = Tensor(_finish(np.abs(x.data)), requires_grad=x.requires_grad)
-    sign = np.sign(x.data)
+    if not _taped(out):
+        return out
+    sign, xn = np.sign(x.data), x.node
 
     def backward(g):
-        x.accumulate_grad(g * sign)
+        xn.accumulate_grad(g * sign)
 
     _record(out, backward)
     return out
@@ -522,6 +575,7 @@ def gelu(x):
     cdf += 1.0
     cdf *= 0.5
     out = Tensor(_finish(xd * cdf), requires_grad=x.requires_grad)
+    xn = x.node
 
     def backward(g):  # g * (cdf + x * exp(-x * x / 2) / sqrt(2 pi))
         dx = xd * -0.5
@@ -531,7 +585,7 @@ def gelu(x):
         dx *= xd
         dx += cdf
         dx *= g
-        x.accumulate_grad(dx)
+        xn.accumulate_grad(dx)
 
     _record(out, backward)
     return out
@@ -550,15 +604,17 @@ def matmul(a, b):
         raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
     if a.data.dtype != b.data.dtype:
         raise ShapeError(f"matmul dtypes differ: {a.data.dtype} vs {b.data.dtype}")
-    ad, bd = a.data, b.data
-    out = Tensor(_finish(np.matmul(ad, bd)),  # numpy runs one GEMM per slice
+    out = Tensor(_finish(np.matmul(a.data, b.data)),  # numpy runs one GEMM per slice
                  requires_grad=a.requires_grad or b.requires_grad)
+    an, bn = _cell(a), _cell(b)
+    ad = a.data if bn is not None else None  # b's gradient reads a, and a's reads b
+    bd = b.data if an is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.matmul(g, np.swapaxes(bd, -1, -2)))
-        if b.requires_grad:
-            b.accumulate_grad(np.matmul(np.swapaxes(ad, -1, -2), g))
+        if an is not None:
+            an.accumulate_grad(np.matmul(g, np.swapaxes(bd, -1, -2)))
+        if bn is not None:
+            bn.accumulate_grad(np.matmul(np.swapaxes(ad, -1, -2), g))
 
     _record(out, backward)
     return out
@@ -577,20 +633,23 @@ def linear(x, weight, bias=None):
     requires = x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
     out = Tensor(_finish(y2.reshape(out_shape)), requires_grad=requires)
 
-    params = [p for p in (weight, bias) if p is not None and p.requires_grad]
+    params = [p.node for p in (weight, bias) if p is not None and p.requires_grad]
+    wn, xn = weight.node, _cell(x)
+    if not params:
+        x2 = None  # only the weight and bias gradients read x
 
     def sums(x2, g2):  # dW, one GEMM over every row, and the bias row sum
-        return [(p, np.matmul(x2.T, g2) if p is weight else g2.sum(axis=0)) for p in params]
+        return [(p, np.matmul(x2.T, g2) if p is wn else g2.sum(axis=0)) for p in params]
 
     def backward(g):
         g2 = g.reshape(-1, d_out)
-        dx = (lambda: np.matmul(g2, w.T)) if x.requires_grad else None
+        dx = (lambda: np.matmul(g2, w.T)) if xn is not None else None
         if params:  # the sums on the helper thread while this one makes dx
             gx = _batch_sums((x2, g2), sums, dx, max(x2.size, g2.size, w.size))
         else:
             gx = dx()
         if gx is not None:
-            x.accumulate_grad(gx.reshape(x.data.shape))
+            xn.accumulate_grad(gx.reshape(xn.shape))
 
     _record(out, backward)
     return out
@@ -599,9 +658,10 @@ def linear(x, weight, bias=None):
 def tensor_sum(x):
     """Sum of every element."""
     out = Tensor(_finish(x.data.sum()), requires_grad=x.requires_grad)
+    xn = x.node
 
     def backward(g):
-        x.accumulate_grad(np.broadcast_to(g, x.data.shape))
+        xn.accumulate_grad(np.broadcast_to(g, xn.shape))
 
     _record(out, backward)
     return out
@@ -612,11 +672,12 @@ def tensor_mean(x, axis=None):
     axes = None if axis is None else (axis if isinstance(axis, tuple) else (axis,))
     n = x.data.size if axes is None else math.prod(x.data.shape[a] for a in axes)
     out = Tensor(_finish(x.data.mean(axis=axis)), requires_grad=x.requires_grad)
+    xn = x.node
 
     def backward(g):
         if axes is not None:
             g = np.expand_dims(g, axes)
-        x.accumulate_grad(np.broadcast_to(g, x.data.shape) / n)
+        xn.accumulate_grad(np.broadcast_to(g, xn.shape) / n)
 
     _record(out, backward)
     return out
@@ -635,13 +696,14 @@ def softmax(x):
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     out = Tensor(_finish(s.reshape(x.data.shape)), requires_grad=x.requires_grad)
+    xn = x.node
 
     def backward(g):  # (g - sum(g * s)) * s
         g2 = g.reshape(-1, d)
         dx = g2 * s
         np.subtract(g2, dx.sum(axis=-1, keepdims=True), out=dx)
         dx *= s
-        x.accumulate_grad(dx.reshape(x.data.shape))
+        xn.accumulate_grad(dx.reshape(xn.shape))
 
     _record(out, backward)
     return out
@@ -652,10 +714,12 @@ def log_softmax(x):
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = Tensor(_finish(shifted - log_z), requires_grad=x.requires_grad)
-    s = np.exp(shifted - log_z)
+    if not _taped(out):
+        return out
+    s, xn = np.exp(shifted - log_z), x.node
 
     def backward(g):
-        x.accumulate_grad(g - s * g.sum(axis=-1, keepdims=True))
+        xn.accumulate_grad(g - s * g.sum(axis=-1, keepdims=True))
 
     _record(out, backward)
     return out
@@ -679,23 +743,24 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     requires = x.requires_grad or gamma.requires_grad or beta.requires_grad
     out = Tensor(_finish(y.reshape(x.data.shape)), requires_grad=requires)
 
-    params = [p for p in (gamma, beta) if p.requires_grad]
+    params = [p.node for p in (gamma, beta) if p.requires_grad]
+    gn, xn = gamma.node, _cell(x)
 
     def sums(g2, xhat):
-        return [(p, (g2 * xhat).sum(axis=0) if p is gamma else g2.sum(axis=0)) for p in params]
+        return [(p, (g2 * xhat).sum(axis=0) if p is gn else g2.sum(axis=0)) for p in params]
 
     def backward(g):
         g2 = g.reshape(-1, d)
         if params:
             _batch_sums((g2, xhat), sums)
-        if x.requires_grad:  # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), gg = g * gamma
+        if xn is not None:  # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), gg = g * gamma
             gg = g2 * gd
             m1 = gg.mean(axis=-1, keepdims=True)
             dx = xhat * (gg * xhat).mean(axis=-1, keepdims=True)
             gg -= m1
             np.subtract(gg, dx, out=dx)
             dx *= inv
-            x.accumulate_grad(dx.reshape(x.data.shape))
+            xn.accumulate_grad(dx.reshape(xn.shape))
 
     _record(out, backward)
     return out
@@ -708,9 +773,10 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 
 def reshape(x, shape):
     out = Tensor(x.data.reshape(shape), requires_grad=x.requires_grad)
+    xn = x.node
 
     def backward(g):
-        x.accumulate_grad(g.reshape(x.data.shape))
+        xn.accumulate_grad(g.reshape(xn.shape))
 
     _record(out, backward)
     return out
@@ -720,9 +786,10 @@ def transpose(x, axes):
     axes = tuple(axes)
     out = Tensor(np.ascontiguousarray(x.data.transpose(axes)), requires_grad=x.requires_grad)
     inverse = tuple(np.argsort(axes))
+    xn = x.node
 
     def backward(g):
-        x.accumulate_grad(g.transpose(inverse))
+        xn.accumulate_grad(g.transpose(inverse))
 
     _record(out, backward)
     return out
@@ -735,11 +802,12 @@ def select_first_axis(x, index):
     share a single buffer and 0 + g lands in each slot in backward order.
     """
     out = Tensor(np.ascontiguousarray(x.data[index]), requires_grad=x.requires_grad)
+    xn = x.node
 
     def backward(g):
-        if x.grad is None:
-            x.grad = np.zeros(x.data.shape, x.data.dtype)
-        x.grad[index] += g
+        if xn.grad is None:
+            xn.grad = np.zeros(xn.shape, xn.dtype)
+        xn.grad[index] += g
 
     _record(out, backward)
     return out
@@ -749,11 +817,12 @@ def gather_rows(table, index):
     """Row lookup `table[index]` for a 1-D integer index array."""
     index = np.asarray(index)
     out = Tensor(np.ascontiguousarray(table.data[index]), requires_grad=table.requires_grad)
+    tn = table.node
 
     def backward(g):
-        full = np.zeros_like(table.data)
+        full = np.zeros(tn.shape, tn.dtype)
         np.add.at(full, index, g)
-        table.accumulate_grad(full)
+        tn.accumulate_grad(full)
 
     _record(out, backward)
     return out
@@ -768,12 +837,13 @@ def where_const(mask, value, x):
     mask = np.asarray(mask, dtype=bool)
     out_data = np.where(mask, value.data, x.data)
     out = Tensor(_finish(out_data), requires_grad=x.requires_grad or value.requires_grad)
+    xn, vn = _cell(x), _cell(value)
 
     def backward(g):
-        if x.requires_grad:
-            _grad_to(x, np.where(mask, 0.0, g))
-        if value.requires_grad:
-            _grad_to(value, np.where(mask, g, 0.0))
+        if xn is not None:
+            _grad_to(xn, np.where(mask, 0.0, g))
+        if vn is not None:
+            _grad_to(vn, np.where(mask, g, 0.0))
 
     _record(out, backward)
     return out
@@ -792,9 +862,10 @@ def take_tokens(x, index, inverse, shape):
         raise ShapeError(f"take_tokens: {x.shape} is not a stack of {len(inverse)}-token maps")
     out = Tensor(_take(x.data.reshape(-1, len(inverse), c), index).reshape(shape),
                  requires_grad=x.requires_grad)
+    xn = x.node
 
     def backward(g):
-        x.accumulate_grad(_take(g.reshape(-1, len(index), c), inverse).reshape(x.data.shape))
+        xn.accumulate_grad(_take(g.reshape(-1, len(index), c), inverse).reshape(xn.shape))
 
     _record(out, backward)
     return out

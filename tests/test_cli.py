@@ -239,6 +239,17 @@ class TestPretrainCommand:
                        "width of 0\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["count", "pretrain"])
+    def test_mask_unit_larger_than_image_exit_2(self, tiny_config_path, micro_root, tmp_path,
+                                                capsys, command):
+        args = [] if command == "count" else ["--data", micro_root, "--out", str(tmp_path / "o")]
+        code = main([command, "--config", tiny_config_path, *args,
+                     "--override", "mask.mask_patch_size=1000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: mask.mask_patch_size 1000 > model.img_size 64: no mask unit fits\n"
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_override_exit_2(self, tiny_config_path, micro_root, tmp_path):
         code = main(["pretrain", "--config", tiny_config_path, "--data", micro_root,
                      "--out", str(tmp_path / "o"), "--override", "nonsense=1"])

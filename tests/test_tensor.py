@@ -1,3 +1,5 @@
+import gc
+import inspect
 import math
 import os
 import signal
@@ -5,16 +7,18 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+import swinmim.swin as swin_mod
 import swinmim.tensor as tensor_mod
 from conftest import tiny_config
 from swinmim.mim import MaskSpec, MIMPretrainModel, generate_mask, pretrain_step
 from swinmim.rng import Rng
-from swinmim.swin import SwinClassifier
+from swinmim.swin import SwinBlock, SwinClassifier
 from swinmim.train import AdamW, soft_cross_entropy
 from swinmim.tensor import (
     Tape,
@@ -390,15 +394,16 @@ class TestTape:
         assert tensor_mod._THREAD.tape is None
 
     def test_mean_grad_stays_float32(self, monkeypatch):
-        # a numpy integer count would make a float64 gradient under numpy 2's promotion
+        # a numpy integer count would make a float64 gradient under numpy 2's promotion;
+        # the two hand-overs are the loss's ones and the rule's dx, both to cells
         handed = []
-        accumulate = Tensor.accumulate_grad
+        accumulate = tensor_mod._Node.accumulate_grad
 
-        def spy(tensor, g):
+        def spy(node, g):
             handed.append(np.asarray(g).dtype)
-            accumulate(tensor, g)
+            accumulate(node, g)
 
-        monkeypatch.setattr(Tensor, "accumulate_grad", spy)
+        monkeypatch.setattr(tensor_mod._Node, "accumulate_grad", spy)
         x = Tensor(np.ones((2, 3, 3, 4), np.float32), requires_grad=True)
         with Tape() as tape:
             y = tensor_mean(x, axis=(1, 2))
@@ -453,6 +458,62 @@ class TestTapeMemoryContract:
             assert g1.flags.c_contiguous, n1
             for n2, g2 in grads[i + 1:]:
                 assert not np.shares_memory(g1, g2), (n1, n2)
+
+    def test_block_forward_frees_what_no_rule_reads(self, monkeypatch):
+        """A taped shifted-window block keeps only what its rules read: by
+        the end of the forward, reference counting alone has freed the qkv
+        output, the residual sums and the reverse token gather, while the
+        linear inputs, layer norm's xhat, GELU's input and cdf and the
+        softmax probabilities live. Holding every output, as a tape of
+        outputs would, changes no gradient byte."""
+        def owner(t):  # the array that owns t's bytes
+            return weakref.ref(t.data if t.data.base is None else t.data.base)
+
+        def run(hold_outputs):
+            rng = Rng(35)
+            block = SwinBlock(16, 2, 4, 2, 4.0, rng.child(0))
+            x = Tensor(rng.child(1).normal(size=(2, 8, 8, 16)).astype(np.float32),
+                       requires_grad=True)
+            probe = Tensor(rng.child(2).normal(size=x.shape).astype(np.float32))
+            calls = {}  # op -> [(owners of its tensor args, owner of its output)]
+            held = []
+            with monkeypatch.context() as m:
+                for name in ("linear", "gelu", "softmax", "take_tokens", "add"):
+                    def spy(*args, op=getattr(swin_mod, name), name=name):
+                        out = op(*args)
+                        calls.setdefault(name, []).append(
+                            ([owner(a) for a in args if isinstance(a, Tensor)], owner(out)))
+                        return out
+                    m.setattr(swin_mod, name, spy)
+                if hold_outputs:
+                    record = Tape.record
+                    m.setattr(Tape, "record",
+                              lambda tape, out, fn: (held.append(out), record(tape, out, fn)))
+                gc.disable()
+                try:
+                    with Tape() as tape:
+                        loss = tensor_sum(mul(block(x), probe))
+                    if not hold_outputs:
+                        alive = lambda ref: ref() is not None
+                        saved = [(fn.__qualname__.split(".")[0], var, weakref.ref(value))
+                                 for _, fn in tape._records
+                                 for var, value in inspect.getclosurevars(fn).nonlocals.items()
+                                 if var in ("xhat", "cdf")]
+                        assert (len(calls["add"]), len(calls["take_tokens"])) == (4, 2)
+                        assert not alive(calls["linear"][0][1])  # qkv output
+                        assert not any(alive(out) for _, out in calls["add"][-2:])  # residuals
+                        assert not alive(calls["take_tokens"][1][1])  # the reverse gather
+                        assert all(alive(args[0]) for args, _ in calls["linear"])
+                        assert alive(calls["gelu"][0][0][0]) and alive(calls["softmax"][0][1])
+                        assert [(op, var) for op, var, _ in saved] == [
+                            ("layer_norm", "xhat"), ("layer_norm", "xhat"), ("gelu", "cdf")]
+                        assert all(alive(ref) for _, _, ref in saved)
+                finally:
+                    gc.enable()
+            tape.backward(loss)
+            return [x.grad.tobytes()] + [p.grad.tobytes() for _, p in block.named_params("b")]
+
+        assert run(hold_outputs=False) == run(hold_outputs=True)
 
 
 def paper_shaped_ops():

@@ -312,6 +312,20 @@ class TestCheckpointFormat:
             restore_model_state(model, loaded)
         assert "head.bias" in str(e.value)
 
+    def test_restore_keeps_gradient_cells_consistent(self):
+        """A restored float64 array is cast, so each parameter's gradient
+        cell still names its data's shape and dtype, and backward runs."""
+        model = SwinClassifier(tiny_config(), Rng(5))
+        restore_model_state(model, {n: p.data.astype(np.float64) * 0.5
+                                    for n, p in model.named_params()})
+        for name, param in model.named_params():
+            assert (param.node.shape, param.node.dtype) == (param.data.shape, np.float32), name
+        with Tape() as tape:
+            loss = soft_cross_entropy(model(Tensor(np.ones((2, 64, 64, 3), np.float32))),
+                                      np.eye(10, dtype=np.float32)[:2])
+        tape.backward(loss)
+        assert all(p.grad.shape == p.data.shape for _, p in model.named_params())
+
     def test_param_count_in_header(self, tmp_path):
         cfg = tiny_config()
         model = SwinClassifier(cfg, Rng(5))
@@ -380,6 +394,7 @@ class TestTransferLoading:
         assert report["remapped"] == tables
         assert not set(tables) & set(report["loaded"])
         for name, param in clf.named_params():
+            assert (param.node.shape, param.node.dtype) == (param.data.shape, param.data.dtype)
             if name.endswith("bias_table"):
                 expect = remap_bias_table(tensors[name], 2, 4)
                 assert param.data.tobytes() == expect.tobytes()
