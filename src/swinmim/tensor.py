@@ -11,13 +11,13 @@ reverse recorded order, accumulating gradients into every participating cell.
 Training runs in float32; gradient verification (grad_check) runs the same
 graph in float64 against central finite differences.
 
-Large work runs as two halves, the first on one helper thread. A batched
-pass runs as two half-batch passes (`batch_halves`), one per thread. Under a
-tape each half records on a tape of its own; their backward passes run at the
-same time and meet for every gradient that sums over the batch's rows, which
-is then made by one call over both halves' rows (`_Meet`). Outside a half,
-only `linear`'s weight gradient runs beside its dx (`_pair`). The helper
-exists whatever the CPU count, and one CPU runs the same two halves
+A large encoder pass over an even batch runs as two half-batch passes
+(`batch_halves`), the first on one helper thread; that is the only work the
+helper runs. Under a tape each half records on a tape of its own; their
+backward passes run at the same time and meet for every gradient that sums
+over the batch's rows, which is then made by one call over both halves' rows
+(`_Meet`). A pass that stays whole runs on the calling thread alone. The
+helper exists whatever the CPU count, and one CPU runs the same two halves
 time-sliced, so every host makes the same calls and results do not depend on
 the number of CPUs.
 """
@@ -238,36 +238,30 @@ def _cell(t):
 # the helper thread
 # ---------------------------------------------------------------------------
 
-# Work whose largest array holds fewer elements than this runs as one call on
-# the calling thread; larger work runs as two: an encoder pass over an even
-# batch as its two batch halves, and outside them linear backward as dW beside
-# dx. Within a batch half nothing splits again. One hand-off to the helper
-# (submit, run a no-op under the caller's errstate, wait for it) measured
-# about 50 us on a 2-core x86_64 host (Xeon, numpy 2.4.6), and cheap row-local
-# chains (softmax, layer norm) cost about 6 ns per element, so a split pays for
-# its hand-off from about 2**14 elements. The threshold sits at the first power
-# of two above every tensor of configs/tiny.json (the largest is the MIM
-# head's 128 x 3072 weight, 393,216 elements), so desk-scale runs keep their
-# per-op cost; at 2**19 the half moved off the caller is worth about thirty
-# hand-offs.
+# An encoder pass whose largest array holds fewer elements than this, or
+# whose batch is odd, runs whole on the calling thread; a larger one over an
+# even batch runs as its two batch halves (`batch_halves`). The threshold sits
+# at the first power of two above every tensor of configs/tiny.json (the
+# largest is the MIM head's 128 x 3072 weight, 393,216 elements), so
+# desk-scale runs never split.
 _SPLIT_MIN = 1 << 19
 
-# One helper thread, made on first use whatever the CPU count. A task never
-# submits another one. dW beside dx (`_pair`) calls only numpy; the first half
-# of `batch_halves` runs a pass of this package, and under a tape its
-# backward, and makes Tensors and arrays. Making the pool caps glibc at one
-# malloc arena, so the helper's arrays come from the caller's arena; an arena
-# of the helper's own keeps its pages resident (pretrain-192 peak RSS 1185 MB
-# uncapped, 1152 MB capped). It also fixes where that arena's memory lives. A
-# split step allocates and frees hundreds of MB, and glibc's defaults (an mmap
-# threshold that rises with each freed mapping, a heap top trimmed whenever
-# enough of it is free) return a different share of it to the kernel each
-# step depending on the order the two threads free their arrays: one
-# finetune-224 process faulted in about 18k pages a step, the next about 180k
-# (300-450 ms of system time a step). Arrays below 32 MiB (glibc's largest
-# mmap threshold) now always come from the heap, and the heap is never
-# trimmed, so its pages stay mapped from step to step (no page faults after
-# the first few steps; peak RSS unchanged).
+# One helper thread, made on first use whatever the CPU count. Its only tasks
+# are the first halves of `batch_halves`, each a pass of this package (and
+# under a tape its backward) that makes Tensors and arrays; a task never
+# submits another one. Making the pool caps glibc at one malloc arena, so the
+# helper's arrays come from the caller's arena; an arena of the helper's own
+# keeps its pages resident (pretrain-192 peak RSS 1185 MB uncapped, 1152 MB
+# capped). It also fixes where that arena's memory lives. A split step
+# allocates and frees hundreds of MB, and glibc's defaults (an mmap threshold
+# that rises with each freed mapping, a heap top trimmed whenever enough of it
+# is free) return a different share of it to the kernel each step depending on
+# the order the two threads free their arrays: one finetune-224 process
+# faulted in about 18k pages a step, the next about 180k (300-450 ms of system
+# time a step). Arrays below 32 MiB (glibc's largest mmap threshold) now
+# always come from the heap, and the heap is never trimmed, so its pages stay
+# mapped from step to step (no page faults after the first few steps; peak
+# RSS unchanged).
 _POOL = None
 _POOL_LOCK = threading.Lock()
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # glibc mallopt parameters
@@ -295,11 +289,9 @@ if hasattr(os, "register_at_fork"):  # absent where there is no fork
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _helper(size):
-    """The helper pool when work of this size is worth splitting, else None."""
+def _helper():
+    """The helper pool, made on first use."""
     global _POOL
-    if size < _SPLIT_MIN:
-        return None
     if _POOL is None:
         with _POOL_LOCK:
             if _POOL is None:
@@ -313,17 +305,11 @@ def _in_errstate(err, fn):
         return fn()
 
 
-def _pair(f, g, size):
-    """(f(), g()), with f on the helper thread when g is given, the largest
-    array holds at least _SPLIT_MIN elements and this thread runs no half of
-    batch_halves; its two uses are linear's dW beside its dx and the two
-    halves of batch_halves. f runs under the caller's np.errstate. A g given
-    as None is skipped and yields None. The caller waits for f even when g
-    raises."""
-    pool = _helper(size) if g is not None and _THREAD.half is None else None
-    if pool is None:
-        return f(), (None if g is None else g())
-    future = pool.submit(_in_errstate, np.geterr(), f)
+def _pair(f, g):
+    """(f(), g()), f on the helper thread under the caller's np.errstate and
+    g on this one: the two halves of a batch_halves call. The caller waits
+    for f even when g raises."""
+    future = _helper().submit(_in_errstate, np.geterr(), f)
     try:
         b = g()
     except BaseException:
@@ -408,10 +394,10 @@ def _run_half(index, meet, fn):
 
 def batch_halves(n, size, fn):
     """The Tensor joining fn(0, n // 2) and fn(n // 2, n) along axis 0, the
-    first run on the helper thread (see _pair), for a pass over an even
-    batch of n items whose largest array holds at least _SPLIT_MIN elements;
-    None when any of that does not hold or this thread already runs a half,
-    and the caller then runs the whole batch itself.
+    first run on the helper thread (_pair), for a pass over an even batch of
+    n items whose largest array holds at least _SPLIT_MIN elements; None when
+    any of that does not hold or this thread already runs a half, and the
+    caller then runs the whole batch itself, on its own thread.
 
     fn(lo, hi) runs the pass on items [lo, hi) and returns a Tensor; the rows
     of every kernel's arrays must come in whole items. The halves are the
@@ -428,7 +414,7 @@ def batch_halves(n, size, fn):
     (_batch_sums), so each such sum is still one call over the whole batch's
     rows (_Meet).
     """
-    if n % 2 or _THREAD.half is not None or _helper(size) is None:
+    if n % 2 or size < _SPLIT_MIN or _THREAD.half is not None:
         return None
     taped = _THREAD.tape is not None
     tapes = (Tape(), Tape()) if taped else (None, None)
@@ -441,7 +427,7 @@ def batch_halves(n, size, fn):
             return fn(lo, hi)
 
     first, second = _pair(lambda: _run_half(0, meet, lambda: forward(0, 0, n // 2)),
-                          lambda: _run_half(1, meet, lambda: forward(1, n // 2, n)), size)
+                          lambda: _run_half(1, meet, lambda: forward(1, n // 2, n)))
     out = Tensor(np.concatenate([first.data, second.data]),
                  requires_grad=first.requires_grad or second.requires_grad)
     rows, roots = len(first.data), (first.node, second.node)
@@ -455,7 +441,7 @@ def batch_halves(n, size, fn):
             meet.run_ready(until_both_left=True)
 
         _pair(lambda: _run_half(0, meet, lambda: replay(0, g[:rows])),
-              lambda: _run_half(1, meet, lambda: replay(1, g[rows:])), size)
+              lambda: _run_half(1, meet, lambda: replay(1, g[rows:])))
         if meet.unmatched():
             raise RuntimeError(f"batch halves posted {meet.unmatched()} sums the other "
                                "half did not: their tapes recorded different ops")
@@ -471,22 +457,18 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _batch_sums(rows, sums, beside=None, size=0):
+def _batch_sums(rows, sums):
     """Accumulate each (cell, gradient) pair of sums(*rows), gradients that
-    sum the arrays `rows` over their rows, and return beside() (None when
-    not given). When both are given and the work is large, sums runs on the
-    helper thread while this one runs beside (_pair).
+    sum the arrays `rows` over their rows.
 
     Within a half of a taped batch_halves call, the rows are posted instead
     (_Meet): sums then runs once on both halves' rows, the whole batch's
     call."""
     if _THREAD.meet is not None:
         _THREAD.meet.post(_THREAD.half, rows, sums)
-        return None if beside is None else beside()
-    grads, out = _pair(lambda: sums(*rows), beside, size)
-    for node, g in grads:
+        return
+    for node, g in sums(*rows):
         node.accumulate_grad(g)
-    return out
 
 
 def _grad_to(node, g, copy=False):
@@ -643,13 +625,10 @@ def linear(x, weight, bias=None):
 
     def backward(g):
         g2 = g.reshape(-1, d_out)
-        dx = (lambda: np.matmul(g2, w.T)) if xn is not None else None
-        if params:  # the sums on the helper thread while this one makes dx
-            gx = _batch_sums((x2, g2), sums, dx, max(x2.size, g2.size, w.size))
-        else:
-            gx = dx()
-        if gx is not None:
-            xn.accumulate_grad(gx.reshape(xn.shape))
+        if params:
+            _batch_sums((x2, g2), sums)
+        if xn is not None:
+            xn.accumulate_grad(np.matmul(g2, w.T).reshape(xn.shape))
 
     _record(out, backward)
     return out
@@ -796,12 +775,15 @@ def transpose(x, axes):
 
 
 def select_first_axis(x, index):
-    """x[index] along axis 0; backward adds g into that slot of x's grad.
+    """A copy of x[index] along axis 0; backward adds g into that slot of
+    x's grad.
 
-    The first split of x makes one zero grad, so q/k/v splits of one array
-    share a single buffer and 0 + g lands in each slot in backward order.
+    The copy is made even when the slice is contiguous, so a rule that reads
+    the output does not keep the rest of x alive. The first split of x makes
+    one zero grad, so q/k/v splits of one array share a single buffer and
+    0 + g lands in each slot in backward order.
     """
-    out = Tensor(np.ascontiguousarray(x.data[index]), requires_grad=x.requires_grad)
+    out = Tensor(x.data[index].copy(), requires_grad=x.requires_grad)
     xn = x.node
 
     def backward(g):

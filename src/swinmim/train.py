@@ -529,9 +529,12 @@ def _run_phase(run_cfg, model, index, out_dir, seed, resume, kind, log_name, tit
     start_epoch = 0
     if resume is not None:
         meta, tensors = load_checkpoint(resume)
+        start_epoch = meta["progress"]["epoch"]
+        if start_epoch >= epochs:
+            raise ValueError(f"{resume} is at epoch {start_epoch} of {epochs}: "
+                             "nothing left to train")
         restore_model_state(model, tensors)
         optimizer.load_state_tensors(tensors, meta["optimizer_step"])
-        start_epoch = meta["progress"]["epoch"]
         if os.path.exists(log_path):  # drop the rows at or past the checkpoint
             limit = meta["progress"]["global_step" if per_step else "epoch"]
             with open(log_path, encoding="utf-8") as f:

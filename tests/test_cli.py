@@ -311,6 +311,30 @@ class TestPretrainCommand:
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_resume_of_a_finished_run_exit_2(self, tiny_config_path, micro_root, tmp_path,
+                                             capsys, command):
+        """A checkpoint at the last epoch leaves nothing to train: the command
+        says so before it touches the log, and pretrain before it makes
+        --out."""
+        done = tmp_path / "done"
+        assert main([command, "--config", tiny_config_path, "--data", micro_root,
+                     "--out", str(done)]) == 0
+        ckpt = done / "checkpoint.sldb"
+        log = done / ("pretrain_log.tsv" if command == "pretrain" else "metrics_log.tsv")
+        before = log.read_bytes()
+        capsys.readouterr()
+        for out in (done, tmp_path / "new"):
+            code = main([command, "--config", tiny_config_path, "--data", micro_root,
+                         "--out", str(out), "--resume", str(ckpt)])
+            assert code == 2
+            assert capsys.readouterr().err == (f"error: {ckpt} is at epoch 1 of 1: "
+                                               "nothing left to train\n")
+        assert log.read_bytes() == before
+        if command == "pretrain":  # finetune writes its split manifest first
+            assert not (tmp_path / "new").exists()
+
+
 class TestFinetuneEval:
     def test_finetune_then_eval(self, tiny_config_path, micro_root, tmp_path, capsys):
         out_dir = str(tmp_path / "ft")

@@ -583,6 +583,16 @@ class TestHelperThread:
         whole_batch(monkeypatch, (self.mim if model == "mim" else self.clf).encoder)
         assert step() == split
 
+    @pytest.mark.parametrize("batch", [3, 4])
+    def test_helper_runs_only_batch_halves(self, split_tiny, batch):
+        """A taped MIM step hands the helper its batch halves and nothing
+        else: none for a whole (odd) batch, and for an even batch the first
+        half's forward and its backward, though the head's weight (128 x
+        3072) is above the threshold too."""
+        self.images, self.masks = self.images[:batch], self.masks[:batch]
+        self.mim_step()
+        assert split_tiny.tasks == (0 if batch % 2 else 2)
+
     @pytest.mark.parametrize("case", ["odd batch", "drop path", "input grad", "small",
                                       "mask length"])
     def test_no_split(self, split_tiny, monkeypatch, case):

@@ -18,7 +18,7 @@ import swinmim.tensor as tensor_mod
 from conftest import tiny_config
 from swinmim.mim import MaskSpec, MIMPretrainModel, generate_mask, pretrain_step
 from swinmim.rng import Rng
-from swinmim.swin import SwinBlock, SwinClassifier
+from swinmim.swin import SwinBlock, SwinClassifier, WindowAttention
 from swinmim.train import AdamW, soft_cross_entropy
 from swinmim.tensor import (
     Tape,
@@ -515,6 +515,33 @@ class TestTapeMemoryContract:
 
         assert run(hold_outputs=False) == run(hold_outputs=True)
 
+    def test_attention_forward_frees_transposed_qkv(self, monkeypatch):
+        """q, k and v are copies of their slots of the transposed qkv array
+        [3, bw, h, n, dk], so the v that the second matmul reads does not
+        keep that whole array alive past a taped forward."""
+        rng = Rng(36)
+        attn = WindowAttention(dim=16, num_heads=2, window=4, rng=rng.child(0))
+        x = Tensor(rng.child(1).normal(size=(8, 16, 16)).astype(np.float32), requires_grad=True)
+        transposed = []
+
+        def spy(t, axes, op=swin_mod.transpose):
+            out = op(t, axes)
+            if len(axes) == 5:
+                transposed.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(swin_mod, "transpose", spy)
+        gc.disable()
+        try:
+            with Tape() as tape:
+                loss = tensor_sum(attn(x))
+            assert len(transposed) == 1
+            assert transposed[0]() is None
+        finally:
+            gc.enable()
+        tape.backward(loss)
+        assert x.grad is not None
+
 
 def paper_shaped_ops():
     """Linear, layer_norm, gelu, matmul and softmax on arrays above the split
@@ -569,19 +596,19 @@ def paper_shaped_ops():
 
 
 class TestHelperThread:
-    """Large work splits across the helper thread, into the calls a whole
-    array makes."""
+    """The helper thread runs the first half of a batch_halves call and
+    nothing else; every op makes the calls a whole array makes."""
 
     def test_paper_shaped_ops_match_numpy(self, helper_pool):
         kernel, reference = paper_shaped_ops()
-        assert helper_pool.tasks == 1  # linear's dW beside its dx
+        assert helper_pool.tasks == 0  # no op hands work to the helper
         assert kernel == reference
 
     @pytest.mark.parametrize("op", ["gelu", "softmax", "layer_norm", "matmul", "linear"])
     def test_row_local_ops_make_one_call(self, helper_pool, op):
-        """The forward of these ops hands nothing to the helper at any size,
-        and neither does their backward, but for linear's dW beside its dx: a
-        batch pass splits once, at the batch (batch_halves)."""
+        """Neither the forward nor the backward of these ops hands anything
+        to the helper at any size: a batch pass splits once, at the batch
+        (batch_halves)."""
         rng = Rng(58)
         rows = tensor_mod._SPLIT_MIN // 256
 
@@ -600,7 +627,7 @@ class TestHelperThread:
         assert y.size == tensor_mod._SPLIT_MIN
         tape.backward(loss)
         assert all(t.grad is not None for t in leaves)
-        assert helper_pool.tasks == (op == "linear")
+        assert helper_pool.tasks == 0
 
     def test_tiny_model_stays_on_caller(self, monkeypatch):
         class NoSplits:
@@ -636,7 +663,7 @@ class TestHelperThread:
 
         f, g = (boom, slow) if raising == "helper" else (slow, boom)
         with pytest.raises(ValueError, match="boom"):
-            tensor_mod._pair(f, g, tensor_mod._SPLIT_MIN)
+            tensor_mod._pair(f, g)
         assert finished.is_set()  # the caller waited for the helper first
 
     def test_helper_tasks_see_callers_errstate(self, helper_pool):
@@ -649,10 +676,10 @@ class TestHelperThread:
 
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
-                tensor_mod._pair(overflow, lambda: None, tensor_mod._SPLIT_MIN)
+                tensor_mod._pair(overflow, lambda: None)
         with np.errstate(over="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            out, _ = tensor_mod._pair(overflow, lambda: None, tensor_mod._SPLIT_MIN)
+            out, _ = tensor_mod._pair(overflow, lambda: None)
         assert np.isinf(out).all()
         assert [over for _, over in seen] == ["raise", "ignore"]
         assert all(ident != caller for ident, _ in seen)
@@ -720,21 +747,18 @@ class TestHelperThread:
                 assert np.array_equal(g.grad, expected[k].sum(axis=0)), k
 
     def test_small_work_runs_on_caller(self, helper_pool):
-        idents = tensor_mod._pair(threading.get_ident, threading.get_ident,
-                                  tensor_mod._SPLIT_MIN - 1)
-        assert idents == (threading.get_ident(),) * 2
         assert tensor_mod.batch_halves(8, tensor_mod._SPLIT_MIN - 1, None) is None
         assert helper_pool.tasks == 0
 
     def test_forked_child_makes_its_own_helper(self, helper_pool):
-        tensor_mod._pair(lambda: None, lambda: None, tensor_mod._SPLIT_MIN)  # thread started
+        tensor_mod._pair(lambda: None, lambda: None)  # thread started
         pid = os.fork()
         if pid == 0:  # child: the parent's helper thread does not exist here
             code = 1
             try:
-                x = np.ones((tensor_mod._SPLIT_MIN // 256, 256), np.float32)
+                x = np.ones((2, 256), np.float32)
                 name, y = tensor_mod._pair(lambda: threading.current_thread().name,
-                                           lambda: x.sum(axis=1), x.size)
+                                           lambda: x.sum(axis=1))
                 code = 0 if ((y == 256.0).all() and tensor_mod._POOL is not helper_pool
                              and name.startswith("swinmim-helper")) else 1
             finally:
@@ -759,12 +783,12 @@ class TestHelperThread:
         monkeypatch.setattr(tensor_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(tensor_mod.os, "cpu_count", lambda: 1)
         monkeypatch.setattr(tensor_mod, "_steady_malloc", lambda: capped.append(True))
-        assert tensor_mod._helper(tensor_mod._SPLIT_MIN - 1) is None
-        assert capped == []
-        pool = tensor_mod._helper(tensor_mod._SPLIT_MIN)
+        assert tensor_mod.batch_halves(8, tensor_mod._SPLIT_MIN - 1, None) is None
+        assert capped == [] and tensor_mod._POOL is None  # small work makes no helper
+        pool = tensor_mod._helper()
         try:
             assert pool is not None
-            assert tensor_mod._helper(tensor_mod._SPLIT_MIN) is pool
+            assert tensor_mod._helper() is pool
         finally:
             pool.shutdown()
         assert capped == [True]

@@ -543,7 +543,7 @@ class TestHelperThread:
             return files, logs
 
         first = pipeline(tmp_path / "first")
-        halves = len(tasks)  # a batch half per taped forward and backward, and dW beside dx
+        halves = len(tasks)  # a batch half per taped forward and backward
         assert halves > 20
         assert len(first[0]) == 6
         assert pipeline(tmp_path / "second") == first
