@@ -13,7 +13,7 @@ import time
 
 from .augment import expand_dataset
 from .config import ConfigError, apply_overrides, config_from_dict, load_config
-from .data import CLASS_NAMES, DecodeError, build_index, split_dataset, write_split_manifest
+from .data import CLASS_NAMES, DecodeError, build_index, split_dataset
 from .rng import Rng
 from .swin import SwinClassifier, count_attention_flops, count_flops, count_params
 from .train import (
@@ -79,8 +79,6 @@ def cmd_finetune(args):
     cfg = _load_run_config(args)
     index = _load_index(args.data)
     train_idx, eval_idx = split_dataset(index, cfg.data.train_fraction, args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    write_split_manifest(os.path.join(args.out, "split.tsv"), train_idx, eval_idx)
 
     def warm_start(report):
         print(f"warm start from {args.init_from}: " + ", ".join(

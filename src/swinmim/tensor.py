@@ -5,8 +5,13 @@ A Tensor wraps a float32/float64 numpy array and a small gradient cell
 is active and an output requires grad, the op appends a backward rule to the
 tape. A rule holds the cells of the tensors it sends gradients to and only
 the arrays it reads, never a Tensor, so an output that no rule reads is freed
-as soon as the forward drops it. `Tape.backward(loss)` replays the rules in
-reverse recorded order, accumulating gradients into every participating cell.
+as soon as the forward drops it. A taped output of layer norm or GELU, one
+elementwise step from arrays its own rule keeps, carries `remake`, which makes
+it again from those arrays, and so does a token gather of such an output. A
+`linear` keeps its input's `remake` in place of the input and remakes the
+input in backward.
+`Tape.backward(loss)` replays the rules in reverse recorded order,
+accumulating gradients into every participating cell.
 
 Training runs in float32; gradient verification (grad_check) runs the same
 graph in float64 against central finite differences.
@@ -88,9 +93,13 @@ class Tensor:
 
     `data` may be rebound only to an array of the same shape and dtype (as
     the checkpoint loaders do), which keeps its gradient cell consistent.
+    `remake` is None, or, on an output that a tape recorded, a function of
+    no arguments that returns an array bitwise equal to `data`, made from
+    arrays that the producing op's rule keeps anyway (and its parameters).
+    `linear` keeps it in place of `data` for its weight gradient.
     """
 
-    __slots__ = ("data", "requires_grad", "node")
+    __slots__ = ("data", "requires_grad", "node", "remake")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -101,6 +110,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.node = _Node(arr.shape, arr.dtype)
+        self.remake = None
 
     # -- introspection ----------------------------------------------------
 
@@ -558,6 +568,8 @@ def gelu(x):
     cdf *= 0.5
     out = Tensor(_finish(xd * cdf), requires_grad=x.requires_grad)
     xn = x.node
+    if _taped(out):
+        out.remake = lambda: xd * cdf  # the forward's call, on the arrays backward reads
 
     def backward(g):  # g * (cdf + x * exp(-x * x / 2) / sqrt(2 pi))
         dx = xd * -0.5
@@ -617,8 +629,9 @@ def linear(x, weight, bias=None):
 
     params = [p.node for p in (weight, bias) if p is not None and p.requires_grad]
     wn, xn = weight.node, _cell(x)
-    if not params:
-        x2 = None  # only the weight and bias gradients read x
+    # only the weight and bias gradients read x, and they remake it when x can be
+    remake = x.remake if params else None
+    rows = x2 if params and remake is None else None
 
     def sums(x2, g2):  # dW, one GEMM over every row, and the bias row sum
         return [(p, np.matmul(x2.T, g2) if p is wn else g2.sum(axis=0)) for p in params]
@@ -626,7 +639,7 @@ def linear(x, weight, bias=None):
     def backward(g):
         g2 = g.reshape(-1, d_out)
         if params:
-            _batch_sums((x2, g2), sums)
+            _batch_sums((rows if remake is None else remake().reshape(-1, d_in), g2), sums)
         if xn is not None:
             xn.accumulate_grad(np.matmul(g2, w.T).reshape(xn.shape))
 
@@ -709,18 +722,24 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm affine params must have shape ({d},)")
-    x2 = x.data.reshape(-1, d)
-    gd = gamma.data
+    x2, shape = x.data.reshape(-1, d), x.data.shape
+    gd, bd = gamma.data, beta.data
     xhat = x2 - x2.mean(axis=-1, keepdims=True)  # (x - mean) / sqrt(var + eps)
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
     var += eps
     np.sqrt(var, out=var)
     inv = 1.0 / var
     xhat *= inv
-    y = xhat * gd  # xhat * gamma + beta
-    y += beta.data
+
+    def affine():  # xhat * gamma + beta
+        y = xhat * gd
+        y += bd
+        return y.reshape(shape)
+
     requires = x.requires_grad or gamma.requires_grad or beta.requires_grad
-    out = Tensor(_finish(y.reshape(x.data.shape)), requires_grad=requires)
+    out = Tensor(_finish(affine()), requires_grad=requires)
+    if _taped(out):
+        out.remake = affine  # the forward's calls, on xhat, which backward reads
 
     params = [p.node for p in (gamma, beta) if p.requires_grad]
     gn, xn = gamma.node, _cell(x)
@@ -844,7 +863,9 @@ def take_tokens(x, index, inverse, shape):
         raise ShapeError(f"take_tokens: {x.shape} is not a stack of {len(inverse)}-token maps")
     out = Tensor(_take(x.data.reshape(-1, len(inverse), c), index).reshape(shape),
                  requires_grad=x.requires_grad)
-    xn = x.node
+    xn, remake = x.node, x.remake
+    if remake is not None and _taped(out):  # the same gather of x remade
+        out.remake = lambda: _take(remake().reshape(-1, len(inverse), c), index).reshape(shape)
 
     def backward(g):
         xn.accumulate_grad(_take(g.reshape(-1, len(index), c), inverse).reshape(xn.shape))

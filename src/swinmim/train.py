@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import mix_batch
-from .data import ImageCache, make_batches
+from .data import ImageCache, make_batches, write_split_manifest
 from .mim import MIMPretrainModel, generate_mask, pretrain_step
 from .rng import Rng
 from .swin import SwinClassifier, SwinConfig
@@ -505,11 +505,12 @@ def read_tsv_log(path):
 
 
 def _run_phase(run_cfg, model, index, out_dir, seed, resume, kind, log_name, title,
-               columns, step_fn, end_epoch=None):
+               columns, step_fn, end_epoch=None, begin=None):
     """The epoch loop of both phases; returns the checkpoint path.
 
     step_fn(batch, step, lr, optimizer) trains on one batch and returns its
     loss. end_epoch(epoch, losses, log, cache) returns True to stop early.
+    begin() runs once out_dir exists, after a resume has been checked.
     The log's first column counts progress: a "step" log gets a (step, lr,
     loss) row every train.log_every steps, an "epoch" log what end_epoch
     writes. Resume drops the rows at or past the checkpoint before appending.
@@ -543,6 +544,8 @@ def _run_phase(run_cfg, model, index, out_dir, seed, resume, kind, log_name, tit
                 f.writelines(lines[:2] + [ln for ln in lines[2:] if int(ln.split("\t")[0]) < limit])
 
     os.makedirs(out_dir, exist_ok=True)
+    if begin is not None:
+        begin()
     ckpt_path = os.path.join(out_dir, "checkpoint.sldb")
     log = TsvLog(log_path, columns, title, append=resume is not None)
     cache = ImageCache(run_cfg.model.img_size)
@@ -623,9 +626,10 @@ def run_finetune(run_cfg, train_index, eval_index, out_dir, seed=0,
     """Classification fine-tuning; returns (model, Metrics, ckpt path).
 
     Optional batch-level CutMix/MixUp (augment config) and optional
-    mask-token input masking (train.mask_in_finetune). Per-epoch metrics
-    are appended to metrics_log.tsv. A warm start from `init_checkpoint`
-    hands load_pretrained_encoder's report to `on_warm_start` when given.
+    mask-token input masking (train.mask_in_finetune). Writes the split to
+    split.tsv and appends per-epoch metrics to metrics_log.tsv. A warm start
+    from `init_checkpoint` hands load_pretrained_encoder's report to
+    `on_warm_start` when given.
     """
     run_cfg.validate()
     rng = Rng(seed)
@@ -671,5 +675,7 @@ def run_finetune(run_cfg, train_index, eval_index, out_dir, seed=0,
                            "metrics_log.tsv", "finetune",
                            ("epoch", "train_loss", "accuracy", "macro_precision",
                             "macro_recall", "macro_f1"),
-                           step_fn, end_epoch)
+                           step_fn, end_epoch,
+                           lambda: write_split_manifest(os.path.join(out_dir, "split.tsv"),
+                                                        train_index, eval_index))
     return model, metrics, ckpt_path

@@ -462,8 +462,9 @@ class TestTapeMemoryContract:
     def test_block_forward_frees_what_no_rule_reads(self, monkeypatch):
         """A taped shifted-window block keeps only what its rules read: by
         the end of the forward, reference counting alone has freed the qkv
-        output, the residual sums and the reverse token gather, while the
-        linear inputs, layer norm's xhat, GELU's input and cdf and the
+        output, the residual sums, the reverse token gather and the inputs
+        of qkv, fc1 and fc2, which their rules remake from layer norm's
+        xhat and GELU's input and cdf, while those, proj's input and the
         softmax probabilities live. Holding every output, as a tape of
         outputs would, changes no gradient byte."""
         def owner(t):  # the array that owns t's bytes
@@ -503,7 +504,8 @@ class TestTapeMemoryContract:
                         assert not alive(calls["linear"][0][1])  # qkv output
                         assert not any(alive(out) for _, out in calls["add"][-2:])  # residuals
                         assert not alive(calls["take_tokens"][1][1])  # the reverse gather
-                        assert all(alive(args[0]) for args, _ in calls["linear"])
+                        qkv, proj, fc1, fc2 = (args[0] for args, _ in calls["linear"])
+                        assert not any(alive(a) for a in (qkv, fc1, fc2)) and alive(proj)
                         assert alive(calls["gelu"][0][0][0]) and alive(calls["softmax"][0][1])
                         assert [(op, var) for op, var, _ in saved] == [
                             ("layer_norm", "xhat"), ("layer_norm", "xhat"), ("gelu", "cdf")]
@@ -541,6 +543,102 @@ class TestTapeMemoryContract:
             gc.enable()
         tape.backward(loss)
         assert x.grad is not None
+
+
+class TestRemake:
+    """Layer norm, GELU and a token gather of a layer norm give their taped
+    outputs a `remake` that a linear keeps instead of its input: the same
+    bytes, made again from what the producing rule keeps anyway."""
+
+    @staticmethod
+    def _taped_outputs(dtype):
+        """(producer, output, its rule, its parameters' arrays) of each op
+        that sets remake, on a 5 x 5 map whose shifted 2 x 2 windows pad it
+        with zero rows."""
+        rng = Rng(37)
+        x = Tensor(rng.child(0).normal(size=(2, 5, 5, 6)).astype(dtype), requires_grad=True)
+        gamma, beta = (Tensor(rng.child(i).normal(size=6).astype(dtype), requires_grad=True)
+                       for i in (1, 2))
+        index, inverse = window_index(5, 5, 2, 1)
+        assert (index < 0).any()
+        outputs = []
+        with Tape() as tape:
+            def taped(name, out, params=()):
+                outputs.append((name, out, tape._records[-1][1], params))
+                return out
+
+            norm = taped("layer_norm", layer_norm(x, gamma, beta), (gamma.data, beta.data))
+            taped("gelu", gelu(x))
+            taped("take_tokens", take_tokens(norm, index, inverse, (-1, 4, 6)))
+        return outputs
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_remake_is_bitwise_the_forward(self, dtype):
+        outputs = self._taped_outputs(dtype)
+        assert [name for name, *_ in outputs] == ["layer_norm", "gelu", "take_tokens"]
+        for name, out, _, _ in outputs:
+            made = out.remake()
+            assert (made.shape, made.dtype) == (out.shape, out.dtype), name
+            assert made.tobytes() == out.data.tobytes(), name
+            assert made is not out.data and not np.shares_memory(made, out.data), name
+
+    def test_remake_holds_only_what_the_rule_holds(self):
+        """Every array a remake closure holds is one its producer's rule
+        holds, or a parameter's; a gather's remake holds its input's."""
+        outputs = self._taped_outputs(np.float32)
+        for name, out, rule, params in outputs:
+            held = [v for v in inspect.getclosurevars(rule).nonlocals.values()
+                    if isinstance(v, np.ndarray)] + list(params)
+            for var, value in inspect.getclosurevars(out.remake).nonlocals.items():
+                if isinstance(value, np.ndarray):
+                    assert any(value is h for h in held), (name, var)
+                elif callable(value):
+                    assert name == "take_tokens" and value is outputs[0][1].remake, (name, var)
+                else:
+                    assert isinstance(value, (int, tuple)), (name, var)
+
+    def test_tape_free_forward_sets_no_remake(self, monkeypatch):
+        inputs = []
+
+        def spy(x, *args, op=swin_mod.linear):
+            inputs.append(x.remake)
+            return op(x, *args)
+
+        monkeypatch.setattr(swin_mod, "linear", spy)
+        rng = Rng(38)
+        block = SwinBlock(16, 2, 4, 2, 4.0, rng.child(0))
+        x = Tensor(rng.child(1).normal(size=(2, 6, 6, 16)).astype(np.float32), requires_grad=True)
+        y = block(x)
+        assert inputs == [None] * 4 and y.remake is None
+        assert layer_norm(x, block.norm1.gamma, block.norm1.beta).remake is None
+        assert gelu(x).remake is None
+
+    def test_block_grads_match_keeping_linear_inputs(self, monkeypatch):
+        """A shifted, padded block's gradients are bitwise those of a run in
+        which every linear keeps its input, as when nothing sets remake."""
+        def run(keep_inputs):
+            remade = []
+
+            def spy(x, *args, op=swin_mod.linear):
+                remade.append(x.remake is not None)
+                if keep_inputs:
+                    x.remake = None
+                return op(x, *args)
+
+            rng = Rng(39)
+            block = SwinBlock(16, 2, 4, 2, 4.0, rng.child(0))
+            x = Tensor(rng.child(1).normal(size=(2, 6, 6, 16)).astype(np.float32),
+                       requires_grad=True)
+            probe = Tensor(rng.child(2).normal(size=x.shape).astype(np.float32))
+            with monkeypatch.context() as m:
+                m.setattr(swin_mod, "linear", spy)
+                with Tape() as tape:
+                    loss = tensor_sum(mul(block(x), probe))
+            assert remade == [True, False, True, True]  # qkv, proj, fc1, fc2
+            tape.backward(loss)
+            return [x.grad.tobytes()] + [p.grad.tobytes() for _, p in block.named_params("b")]
+
+        assert run(keep_inputs=False) == run(keep_inputs=True)
 
 
 def paper_shaped_ops():
