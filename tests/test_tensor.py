@@ -1,8 +1,10 @@
+import functools
 import gc
 import inspect
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -11,8 +13,8 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
+import swinmim
 import swinmim.swin as swin_mod
 import swinmim.tensor as tensor_mod
 from conftest import tiny_config
@@ -54,6 +56,18 @@ from swinmim.tensor import (
 
 def t64(arr, grad=True):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=grad)
+
+
+def rational_erf(z):
+    """The rational that `_erf` evaluates, as numpy expressions over the
+    whole array: clamp, Horner in x^2, x P / Q, clamp."""
+    p_coef, q_coef = ([z.dtype.type(c) for c in cs]
+                      for cs in (tensor_mod._ERF_P, tensor_mod._ERF_Q))
+    x = np.clip(z, -4.0, 4.0)
+    x2 = x * x
+    p = functools.reduce(lambda acc, c: acc * x2 + c, p_coef[1:], p_coef[0])
+    q = functools.reduce(lambda acc, c: acc * x2 + c, q_coef[1:], q_coef[0])
+    return np.clip(x * p / q, -1.0, 1.0)
 
 
 class TestMatmul:
@@ -165,6 +179,92 @@ class TestGelu:
 
     def test_unit_value(self):
         assert np.isclose(gelu(t64([1.0], grad=False)).numpy()[0], 0.8413447460685429)
+
+
+class TestErf:
+    """`_erf`, the rational GELU's cdf is made with, against math.erf."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 5e-7), (np.float64, 1e-7)])
+    def test_max_abs_error(self, dtype, tol):
+        z = np.linspace(-6.0, 6.0, 1_200_001).astype(dtype)
+        exact = np.array([math.erf(v) for v in z.tolist()])
+        assert np.abs(tensor_mod._erf(z) - exact).max() <= tol
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_odd(self, dtype):
+        z = np.linspace(0.0, 6.0, 100_001).astype(dtype)
+        assert np.array_equal(tensor_mod._erf(-z), -tensor_mod._erf(z))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bounded_and_one_from_the_clamp(self, dtype):
+        z = np.linspace(-40.0, 40.0, 200_001).astype(dtype)
+        assert np.abs(tensor_mod._erf(z)).max() <= 1.0
+        edge = np.array([4.0, 4.5, 30.0, 1e30, np.inf], dtype)
+        assert np.all(tensor_mod._erf(edge) == 1.0) and np.all(tensor_mod._erf(-edge) == -1.0)
+
+
+class TestGeluBlocks:
+    """GELU runs block by block; its output, remake and input gradient are
+    bitwise one whole-array numpy expression of the same formula."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [1, (1 << 17) - 1, 1 << 17, 3 * (1 << 17) + 17])
+    def test_blocks_match_whole_array(self, size, dtype):
+        assert tensor_mod._GELU_BLOCK == 1 << 17
+        rng = Rng(52)
+        x = Tensor((3.0 * rng.child(0).normal(size=size)).astype(dtype), requires_grad=True)
+        probe = rng.child(1).normal(size=size).astype(dtype)
+        with Tape() as tape:
+            y = gelu(x)
+        remade = y.remake()
+        tape.backward(y, probe.copy())
+        z = x.data
+        cdf = 0.5 * (1.0 + rational_erf(z / math.sqrt(2.0)))
+        dx = probe * (cdf + z * (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)))
+        assert y.data.tobytes() == (z * cdf).tobytes()
+        assert remade.tobytes() == y.data.tobytes()
+        assert x.grad.tobytes() == dx.tobytes()
+
+
+def test_imports_and_steps_without_scipy():
+    """swinmim imports, and takes one taped MIM step, where scipy cannot be
+    imported."""
+    script = """
+import importlib.abc
+import sys
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+import numpy as np
+import swinmim
+import swinmim.cli
+from swinmim.mim import MaskSpec, MIMPretrainModel, generate_mask, pretrain_step
+from swinmim.rng import Rng
+from swinmim.swin import SwinConfig
+from swinmim.tensor import Tensor
+from swinmim.train import AdamW
+
+config = SwinConfig(img_size=64, embed_dim=16, depths=(2, 2, 2, 2), heads=(2, 2, 4, 4),
+                    window_size=4)
+model = MIMPretrainModel(config, Rng(0), mask_spec=MaskSpec(16, 0.5))
+images = Tensor(Rng(1).child(0).uniform(-1, 1, size=(2, 64, 64, 3)).astype(np.float32))
+masks = [generate_mask(model.mask_spec, 64, Rng(2).child(j)) for j in range(2)]
+loss = pretrain_step(images, masks, model, AdamW(dict(model.named_params())), lr=1e-3)
+assert np.isfinite(loss), loss
+assert not any(name.split(".")[0] == "scipy" for name in sys.modules)
+print("stepped")
+"""
+    src = os.path.dirname(os.path.dirname(swinmim.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stdout.split() == ["stepped"], proc.stderr
 
 
 class TestWindowOps:
@@ -669,7 +769,7 @@ def paper_shaped_ops():
     kernel += [t.grad.tobytes() for t in leaves.values()]
 
     z, y, s = lin.data, ln.data, scores.data
-    cdf = 0.5 * (1.0 + erf(y / math.sqrt(2.0)))
+    cdf = 0.5 * (1.0 + rational_erf(y / math.sqrt(2.0)))
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     soft = e / e.sum(axis=-1, keepdims=True)
     g_y = probe_h * (cdf + y * (np.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)))
