@@ -101,6 +101,7 @@ def cmd_eval(args):
     model = SwinClassifier(cfg.model, Rng(args.seed).child(0),
                            with_mask_token="mask_token" in tensors)
     restore_model_state(model, tensors)
+    del tensors  # restored: the model holds copies
     index = _load_index(args.data)
     metrics = evaluate(model, index, cfg)
     _print_metrics(metrics)

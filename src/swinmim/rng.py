@@ -57,10 +57,12 @@ class Rng:
         """Normal(0, std) with values beyond `bound` std devs redrawn."""
         out = self._gen.normal(0.0, std, size=shape)
         limit = bound * std
-        bad = np.abs(out) > limit
-        while bad.any():
-            out[bad] = self._gen.normal(0.0, std, size=int(bad.sum()))
-            bad = np.abs(out) > limit
+        flat = out.reshape(-1)  # a view: the draws are one contiguous array
+        redraw = np.flatnonzero(np.abs(flat) > limit)
+        while redraw.size:  # each round rescans only the entries it redrew
+            draws = self._gen.normal(0.0, std, size=redraw.size)
+            flat[redraw] = draws
+            redraw = redraw[np.abs(draws) > limit]
         return out.astype(dtype)
 
     def __repr__(self):

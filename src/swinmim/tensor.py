@@ -5,11 +5,13 @@ A Tensor wraps a float32/float64 numpy array and a small gradient cell
 is active and an output requires grad, the op appends a backward rule to the
 tape. A rule holds the cells of the tensors it sends gradients to and only
 the arrays it reads, never a Tensor, so an output that no rule reads is freed
-as soon as the forward drops it. A taped output of layer norm or GELU, one
-elementwise step from arrays its own rule keeps, carries `remake`, which makes
-it again from those arrays, and so does a token gather of such an output. A
-`linear` keeps its input's `remake` in place of the input and remakes the
-input in backward.
+as soon as the forward drops it. A taped output of layer norm, GELU, or a
+matmul whose rule keeps both operands carries `remake`, which makes it again
+from the arrays its own rule keeps, and so does a token gather, transpose or
+reshape of such an output. GELU keeps only its input: its remake hands the
+Phi it makes to GELU's rule. A `linear` keeps its input's `remake` in place
+of the input and remakes the input in backward, so every linear of a block
+frees its input.
 `Tape.backward(loss)` replays the rules in reverse recorded order,
 accumulating gradients into every participating cell.
 
@@ -94,8 +96,10 @@ class Tensor:
     the checkpoint loaders do), which keeps its gradient cell consistent.
     `remake` is None, or, on an output that a tape recorded, a function of
     no arguments that returns an array bitwise equal to `data`, made from
-    arrays that the producing op's rule keeps anyway (and its parameters).
-    `linear` keeps it in place of `data` for its weight gradient.
+    arrays that the producing op's rule keeps anyway (and its parameters):
+    layer norm, GELU and a matmul that keeps both operands set it, and a
+    token gather, transpose or reshape passes it on. `linear` keeps it in
+    place of `data` for its weight gradient.
     """
 
     __slots__ = ("data", "requires_grad", "node", "remake")
@@ -605,34 +609,65 @@ def _gelu_blocks(n):
     return (slice(i, i + _GELU_BLOCK) for i in range(0, n, _GELU_BLOCK))
 
 
-def gelu(x):
-    """Gaussian error linear unit in its erf form, x * Phi(x), Phi made with `_erf`."""
-    xd = x.data
-    cdf = np.empty(xd.shape, xd.dtype)  # 0.5 * (1 + erf(x / sqrt 2))
-    y = np.empty(xd.shape, xd.dtype)
-    x1, c1, y1 = xd.reshape(-1), cdf.reshape(-1), y.reshape(-1)
+def _cdf(xb, out):
+    """Phi(xb) = 0.5 * (1 + erf(xb / sqrt 2)), written into `out`."""
+    c = np.divide(xb, math.sqrt(2.0), out=out)
+    _erf(c, out=c)
+    c += 1.0
+    c *= 0.5
+    return c
+
+
+def _whole_cdf(xd):
+    """Phi of every element of xd, block by block, as one array."""
+    cdf = np.empty(xd.shape, xd.dtype)
+    x1, c1 = xd.reshape(-1), cdf.reshape(-1)
     for s in _gelu_blocks(x1.size):
-        c = np.divide(x1[s], math.sqrt(2.0), out=c1[s])
-        _erf(c, out=c)
-        c += 1.0
-        c *= 0.5
-        np.multiply(x1[s], c, out=y1[s])
+        _cdf(x1[s], c1[s])
+    return cdf
+
+
+def gelu(x):
+    """Gaussian error linear unit in its erf form, x * Phi(x), Phi made with `_erf`.
+
+    Only the input is kept for backward. The forward makes Phi a block at a
+    time in one reused scratch block; a taped output's remake makes Phi once as a
+    whole array and hands it to the rule, which turns it into the input
+    gradient in place (the rule makes Phi itself when nothing remade the
+    output).
+    """
+    xd = x.data
+    y = np.empty(xd.shape, xd.dtype)
+    x1, y1 = xd.reshape(-1), y.reshape(-1)
+    scratch = np.empty(min(x1.size, _GELU_BLOCK), xd.dtype)
+    for s in _gelu_blocks(x1.size):
+        xb = x1[s]
+        np.multiply(xb, _cdf(xb, scratch[:xb.size]), out=y1[s])
     out = Tensor(_finish(y), requires_grad=x.requires_grad)
     xn = x.node
-    if _taped(out):
-        out.remake = lambda: xd * cdf  # the forward's product, on the arrays backward reads
+    handed = [None]  # Phi, from the remake to the rule
 
-    def backward(g):  # g * (cdf + x * exp(-x * x / 2) / sqrt(2 pi))
-        dx = np.empty(xd.shape, xd.dtype)
-        x1, c1, g1, d1 = xd.reshape(-1), cdf.reshape(-1), g.reshape(-1), dx.reshape(-1)
+    def remake():  # the forward's product, Phi made again from the input
+        handed[0] = cdf = _whole_cdf(xd)
+        return xd * cdf
+
+    if _taped(out):
+        out.remake = remake
+
+    def backward(g):  # g * (Phi + x * exp(-x * x / 2) / sqrt(2 pi))
+        dx, handed[0] = handed[0], None
+        if dx is None:
+            dx = _whole_cdf(xd)
+        x1, g1, d1 = xd.reshape(-1), g.reshape(-1), dx.reshape(-1)
+        scratch = np.empty(min(x1.size, _GELU_BLOCK), xd.dtype)
         for s in _gelu_blocks(d1.size):
-            xb = x1[s]
-            d = np.multiply(xb, -0.5, out=d1[s])
-            d *= xb
-            np.exp(d, out=d)
-            d /= math.sqrt(2.0 * math.pi)
-            d *= xb
-            d += c1[s]
+            xb, d = x1[s], d1[s]
+            t = np.multiply(xb, -0.5, out=scratch[:xb.size])
+            t *= xb
+            np.exp(t, out=t)
+            t /= math.sqrt(2.0 * math.pi)
+            t *= xb
+            d += t
             d *= g1[s]
         xn.accumulate_grad(dx)
 
@@ -658,6 +693,8 @@ def matmul(a, b):
     an, bn = _cell(a), _cell(b)
     ad = a.data if bn is not None else None  # b's gradient reads a, and a's reads b
     bd = b.data if an is not None else None
+    if ad is not None and bd is not None and _taped(out):  # the forward's call again
+        out.remake = lambda: np.matmul(ad, bd)
 
     def backward(g):
         if an is not None:
@@ -826,7 +863,9 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 
 def reshape(x, shape):
     out = Tensor(x.data.reshape(shape), requires_grad=x.requires_grad)
-    xn = x.node
+    xn, remake = x.node, x.remake
+    if remake is not None and _taped(out):  # the same reshape of x remade
+        out.remake = lambda: remake().reshape(shape)
 
     def backward(g):
         xn.accumulate_grad(g.reshape(xn.shape))
@@ -839,7 +878,9 @@ def transpose(x, axes):
     axes = tuple(axes)
     out = Tensor(np.ascontiguousarray(x.data.transpose(axes)), requires_grad=x.requires_grad)
     inverse = tuple(np.argsort(axes))
-    xn = x.node
+    xn, remake = x.node, x.remake
+    if remake is not None and _taped(out):  # the same transpose of x remade
+        out.remake = lambda: np.ascontiguousarray(remake().transpose(axes))
 
     def backward(g):
         xn.accumulate_grad(g.transpose(inverse))

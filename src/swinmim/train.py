@@ -375,7 +375,7 @@ def restore_model_state(model, tensors):
             raise CheckpointNameError(
                 f"tensor {name!r} shape {arr.shape} != model shape {param.data.shape}"
             )
-        param.data = arr.astype(param.data.dtype).copy()
+        param.data = arr.astype(param.data.dtype)  # a copy, whatever the dtype
     unknown = [n for n in tensors if n not in names and not n.startswith("optim.")]
     if unknown:
         raise CheckpointNameError(f"checkpoint holds unknown tensors: {sorted(unknown)}")
@@ -449,7 +449,7 @@ def load_pretrained_encoder(model, tensors):
             continue
         arr = tensors[name]
         if arr.shape == param.data.shape:
-            param.data = arr.astype(param.data.dtype).copy()
+            param.data = arr.astype(param.data.dtype)  # a copy, whatever the dtype
             report["loaded"].append(name)
         elif name.endswith("attn.bias_table") and arr.shape[1] == param.data.shape[1]:
             old_window = (int(round(math.sqrt(arr.shape[0]))) + 1) // 2
@@ -536,6 +536,7 @@ def _run_phase(run_cfg, model, index, out_dir, seed, resume, kind, log_name, tit
                              "nothing left to train")
         restore_model_state(model, tensors)
         optimizer.load_state_tensors(tensors, meta["optimizer_step"])
+        del tensors  # restored: the model and optimizer hold copies
         if os.path.exists(log_path):  # drop the rows at or past the checkpoint
             limit = meta["progress"]["global_step" if per_step else "epoch"]
             with open(log_path, encoding="utf-8") as f:
@@ -638,6 +639,7 @@ def run_finetune(run_cfg, train_index, eval_index, out_dir, seed=0,
     if init_checkpoint is not None:
         _, tensors = load_checkpoint(init_checkpoint)
         report = load_pretrained_encoder(model, tensors)
+        del tensors  # loaded: the model holds copies
         if on_warm_start is not None:
             on_warm_start(report)
     mask_spec = run_cfg.mask.spec(seed) if with_token else None

@@ -225,6 +225,27 @@ class TestGeluBlocks:
         assert remade.tobytes() == y.data.tobytes()
         assert x.grad.tobytes() == dx.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [1, (1 << 17) - 1, 1 << 17, 3 * (1 << 17) + 17])
+    def test_rule_without_remake_keeps_the_input_alone(self, size, dtype):
+        """The rule keeps only x. When nothing remade the output (as when
+        fc2 is frozen) it makes Phi itself, and its dx is still bitwise the
+        whole-array formula; a tape-free forward gives the same bytes."""
+        rng = Rng(53)
+        x = Tensor((3.0 * rng.child(0).normal(size=size)).astype(dtype), requires_grad=True)
+        probe = rng.child(1).normal(size=size).astype(dtype)
+        with Tape() as tape:
+            y = gelu(x)
+        kept = inspect.getclosurevars(tape._records[-1][1]).nonlocals.values()
+        arrays = [v for v in kept if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is x.data
+        tape.backward(y, probe.copy())
+        z = x.data
+        cdf = 0.5 * (1.0 + rational_erf(z / math.sqrt(2.0)))
+        dx = probe * (cdf + z * (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)))
+        assert x.grad.tobytes() == dx.tobytes()
+        assert gelu(Tensor(z)).data.tobytes() == y.data.tobytes() == (z * cdf).tobytes()
+
 
 def test_imports_and_steps_without_scipy():
     """swinmim imports, and takes one taped MIM step, where scipy cannot be
@@ -563,10 +584,10 @@ class TestTapeMemoryContract:
         """A taped shifted-window block keeps only what its rules read: by
         the end of the forward, reference counting alone has freed the qkv
         output, the residual sums, the reverse token gather and the inputs
-        of qkv, fc1 and fc2, which their rules remake from layer norm's
-        xhat and GELU's input and cdf, while those, proj's input and the
-        softmax probabilities live. Holding every output, as a tape of
-        outputs would, changes no gradient byte."""
+        of all four linears, which their rules remake from layer norm's
+        xhat, the softmax probabilities and v, and GELU's input, while those
+        live. Holding every output, as a tape of outputs would, changes no
+        gradient byte."""
         def owner(t):  # the array that owns t's bytes
             return weakref.ref(t.data if t.data.base is None else t.data.base)
 
@@ -605,10 +626,10 @@ class TestTapeMemoryContract:
                         assert not any(alive(out) for _, out in calls["add"][-2:])  # residuals
                         assert not alive(calls["take_tokens"][1][1])  # the reverse gather
                         qkv, proj, fc1, fc2 = (args[0] for args, _ in calls["linear"])
-                        assert not any(alive(a) for a in (qkv, fc1, fc2)) and alive(proj)
+                        assert not any(alive(a) for a in (qkv, proj, fc1, fc2))
                         assert alive(calls["gelu"][0][0][0]) and alive(calls["softmax"][0][1])
                         assert [(op, var) for op, var, _ in saved] == [
-                            ("layer_norm", "xhat"), ("layer_norm", "xhat"), ("gelu", "cdf")]
+                            ("layer_norm", "xhat"), ("layer_norm", "xhat")]
                         assert all(alive(ref) for _, _, ref in saved)
                 finally:
                     gc.enable()
@@ -616,6 +637,50 @@ class TestTapeMemoryContract:
             return [x.grad.tobytes()] + [p.grad.tobytes() for _, p in block.named_params("b")]
 
         assert run(hold_outputs=False) == run(hold_outputs=True)
+
+    def test_taped_block_keeps_exact_bytes(self):
+        """The float arrays that a taped shifted, padded block's rules keep,
+        each owning buffer counted once and parameters left out, are exactly
+        both layer norms' xhat and inv, GELU's input, the softmax
+        probabilities, q, k transposed, v and q's 0-d scale: every linear's
+        input is remade, and GELU keeps no Phi."""
+        def kept_buffers(tape):  # owning buffers reachable from the rules' closures
+            owners, seen, todo = {}, set(), [fn for _, fn in tape._records]
+            while todo:
+                v = todo.pop()
+                if id(v) in seen:
+                    continue
+                seen.add(id(v))
+                if isinstance(v, np.ndarray):
+                    while isinstance(v.base, np.ndarray):
+                        v = v.base
+                    owners[id(v)] = v
+                elif isinstance(v, (list, tuple)):
+                    todo.extend(v)
+                elif inspect.isfunction(v):  # remake and sums closures too
+                    todo.extend(inspect.getclosurevars(v).nonlocals.values())
+            return owners.values()
+
+        rng = Rng(42)
+        dim, heads, window, hidden = 16, 2, 4, 64
+        block = SwinBlock(dim, heads, window, 2, hidden / dim, rng.child(0))
+        x = Tensor(rng.child(1).normal(size=(2, 6, 6, dim)).astype(np.float32),
+                   requires_grad=True)
+        with Tape() as tape:
+            block(x)
+        params = {id(p.data) for _, p in block.named_params("b")}
+        kept = [a for a in kept_buffers(tape)  # integer arrays: the cached layout maps
+                if np.issubdtype(a.dtype, np.floating) and id(a) not in params]
+        tokens = 2 * 6 * 6
+        windows = 2 * (8 // window) ** 2  # the 6 x 6 map pads to 8 x 8
+        n, dk = window * window, dim // heads
+        elements = (2 * (tokens * dim + tokens)  # norm1 and norm2: xhat and inv
+                    + tokens * hidden  # GELU's input
+                    + windows * heads * n * n  # softmax probabilities
+                    + 3 * windows * heads * n * dk  # q, k transposed, v
+                    + 1)  # q's scale
+        assert sum(a.nbytes for a in kept) == 4 * elements
+        assert len(kept) == 10
 
     def test_attention_forward_frees_transposed_qkv(self, monkeypatch):
         """q, k and v are copies of their slots of the transposed qkv array
@@ -646,9 +711,10 @@ class TestTapeMemoryContract:
 
 
 class TestRemake:
-    """Layer norm, GELU and a token gather of a layer norm give their taped
-    outputs a `remake` that a linear keeps instead of its input: the same
-    bytes, made again from what the producing rule keeps anyway."""
+    """Layer norm, GELU, a matmul whose rule keeps both operands, and a token
+    gather, transpose or reshape of such an output give their taped outputs
+    a `remake` that a linear keeps instead of its input: the same bytes,
+    made again from what the producing rule keeps anyway."""
 
     @staticmethod
     def _taped_outputs(dtype):
@@ -672,6 +738,24 @@ class TestRemake:
             taped("take_tokens", take_tokens(norm, index, inverse, (-1, 4, 6)))
         return outputs
 
+    @staticmethod
+    def _chained_outputs(dtype):
+        """(producer, output, its rule, ()) of attn @ v and of the transpose
+        and reshape that make proj's input of it, as WindowAttention does."""
+        rng = Rng(40)
+        attn = Tensor(rng.child(0).uniform(size=(3, 2, 4, 4)).astype(dtype), requires_grad=True)
+        v = Tensor(rng.child(1).normal(size=(3, 2, 4, 5)).astype(dtype), requires_grad=True)
+        outputs = []
+        with Tape() as tape:
+            def taped(name, out):
+                outputs.append((name, out, tape._records[-1][1], ()))
+                return out
+
+            out = taped("matmul", matmul(attn, v))
+            out = taped("transpose", transpose(out, (0, 2, 1, 3)))
+            taped("reshape", reshape(out, (3, 4, 10)))
+        return outputs
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_remake_is_bitwise_the_forward(self, dtype):
         outputs = self._taped_outputs(dtype)
@@ -684,18 +768,50 @@ class TestRemake:
 
     def test_remake_holds_only_what_the_rule_holds(self):
         """Every array a remake closure holds is one its producer's rule
-        holds, or a parameter's; a gather's remake holds its input's."""
-        outputs = self._taped_outputs(np.float32)
+        holds, or a parameter's; a gather's, transpose's or reshape's remake
+        holds its input's; GELU's also holds the one-slot cell, shared with
+        its rule, that hands Phi over."""
+        outputs = self._taped_outputs(np.float32) + self._chained_outputs(np.float32)
+        made = {name: out for name, out, _, _ in outputs}
+        sources = {"take_tokens": "layer_norm", "transpose": "matmul", "reshape": "transpose"}
         for name, out, rule, params in outputs:
-            held = [v for v in inspect.getclosurevars(rule).nonlocals.values()
-                    if isinstance(v, np.ndarray)] + list(params)
+            kept = list(inspect.getclosurevars(rule).nonlocals.values())
+            held = [v for v in kept if isinstance(v, np.ndarray)] + list(params)
             for var, value in inspect.getclosurevars(out.remake).nonlocals.items():
                 if isinstance(value, np.ndarray):
                     assert any(value is h for h in held), (name, var)
                 elif callable(value):
-                    assert name == "take_tokens" and value is outputs[0][1].remake, (name, var)
+                    assert value is made[sources[name]].remake, (name, var)
+                elif isinstance(value, list):
+                    assert name == "gelu" and value == [None] and any(value is k for k in kept)
                 else:
                     assert isinstance(value, (int, tuple)), (name, var)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chained_remakes_are_bitwise_the_forward(self, dtype):
+        outputs = self._chained_outputs(dtype)
+        assert [name for name, *_ in outputs] == ["matmul", "transpose", "reshape"]
+        for name, out, _, _ in outputs:
+            made = out.remake()
+            assert (made.shape, made.dtype) == (out.shape, out.dtype), name
+            assert made.tobytes() == out.data.tobytes(), name
+            assert not np.shares_memory(made, out.data), name
+
+    def test_matmul_transpose_reshape_set_no_remake_untaped(self):
+        """Off the tape none of them sets remake; nor does a matmul whose rule
+        keeps one operand, nor a transpose or reshape of an input without one."""
+        rng = Rng(41)
+        a, b = (Tensor(rng.child(i).normal(size=(2, 3, 3)), requires_grad=True) for i in (0, 1))
+        const = Tensor(b.data)
+        for out in (matmul(a, b), transpose(matmul(a, b), (0, 2, 1)),
+                    reshape(matmul(a, b), (2, 9))):
+            assert out.remake is None
+        with Tape():
+            kept_one = matmul(a, const)
+            assert kept_one.remake is None
+            assert transpose(kept_one, (0, 2, 1)).remake is None
+            assert reshape(kept_one, (2, 9)).remake is None
+            assert matmul(a, b).remake is not None
 
     def test_tape_free_forward_sets_no_remake(self, monkeypatch):
         inputs = []
@@ -734,7 +850,7 @@ class TestRemake:
                 m.setattr(swin_mod, "linear", spy)
                 with Tape() as tape:
                     loss = tensor_sum(mul(block(x), probe))
-            assert remade == [True, False, True, True]  # qkv, proj, fc1, fc2
+            assert remade == [True] * 4  # qkv, proj, fc1, fc2
             tape.backward(loss)
             return [x.grad.tobytes()] + [p.grad.tobytes() for _, p in block.named_params("b")]
 

@@ -1,10 +1,13 @@
+import gc
 import math
 import os
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import swinmim.cli as cli_mod
 import swinmim.tensor as tensor_mod
 import swinmim.train as train_mod
 from conftest import tiny_config, write_synthetic_dataset
@@ -416,6 +419,60 @@ def micro_dataset(tmp_path, per_class=2):
 def log_body(path):
     """A TsvLog's lines without the timestamped '#' header."""
     return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+
+class TestLoadedCheckpointLifetime:
+    """A loaded checkpoint's arrays go once they are restored: the model and
+    the optimizer keep copies, and no dict of them lives on while training
+    or eval runs."""
+
+    @staticmethod
+    def alive_at_first(monkeypatch, module, name):
+        """(refs, alive): weak references to every array that
+        module.load_checkpoint returns, and, once module.<name> is first
+        called, how many of them are still alive then."""
+        refs, alive = [], []
+        load, first = module.load_checkpoint, getattr(module, name)
+
+        def spy_load(path):
+            meta, tensors = load(path)
+            refs.extend(weakref.ref(a) for a in tensors.values())
+            return meta, tensors
+
+        def spy_first(*args, **kwargs):
+            if not alive:
+                gc.collect()
+                alive.append(sum(ref() is not None for ref in refs))
+            return first(*args, **kwargs)
+
+        monkeypatch.setattr(module, "load_checkpoint", spy_load)
+        monkeypatch.setattr(module, name, spy_first)
+        return refs, alive
+
+    def test_resume_and_warm_start_drop_the_checkpoint(self, tmp_path, monkeypatch):
+        index = micro_dataset(tmp_path, per_class=3)
+        train_idx, eval_idx = split_dataset(index, 0.7, seed=0)
+        _, ckpt = run_pretrain(desk_config(**{"schedule.epochs": 1}), index,
+                               tmp_path / "pre", seed=0)
+        for run in (lambda: run_pretrain(desk_config(), index, tmp_path / "resumed",
+                                         seed=0, resume=ckpt),
+                    lambda: run_finetune(desk_config(**{"schedule.epochs": 1}), train_idx,
+                                         eval_idx, tmp_path / "warm", seed=0,
+                                         init_checkpoint=ckpt)):
+            with monkeypatch.context() as m:
+                refs, alive = self.alive_at_first(m, train_mod, "make_batches")
+                run()
+            assert len(refs) > 0 and alive == [0]
+
+    def test_eval_drops_the_checkpoint(self, tmp_path, monkeypatch, capsys):
+        index = micro_dataset(tmp_path, per_class=3)
+        train_idx, eval_idx = split_dataset(index, 0.7, seed=0)
+        _, _, ckpt = run_finetune(desk_config(**{"schedule.epochs": 1}), train_idx, eval_idx,
+                                  tmp_path / "ft", seed=0)
+        refs, alive = self.alive_at_first(monkeypatch, cli_mod, "evaluate")
+        assert cli_mod.main(["eval", "--checkpoint", str(ckpt),
+                             "--data", str(tmp_path / "micro")]) == 0
+        assert len(refs) > 0 and alive == [0]
 
 
 class TestRunPretrain:
