@@ -269,11 +269,9 @@ class WindowAttention:
 class SwinBlock:
     """One pre-norm attention block: (S)W-MSA + MLP, both with residuals."""
 
-    def __init__(self, dim, num_heads, window, shift, mlp_ratio, rng, dtype=np.float32,
-                 drop_path_rate=0.0):
+    def __init__(self, dim, num_heads, window, shift, mlp_ratio, rng, dtype=np.float32):
         self.window = window
         self.shift = shift
-        self.drop_path_rate = drop_path_rate
         self.norm1 = LayerNorm(dim, dtype)
         self.attn = WindowAttention(dim, num_heads, window, rng, dtype)
         self.norm2 = LayerNorm(dim, dtype)
@@ -292,16 +290,17 @@ class SwinBlock:
         mask = shifted_window_mask(hp, wp, m, shift, np.dtype(dtype).type) if shift else None
         return window_index(height, width, m, shift) + (mask,)
 
-    def __call__(self, x, training=False, rng=None, bias=None):
-        """x: [B, H, W, C] -> same shape; bias: attn.position_bias() or None."""
+    def __call__(self, x, bias=None, keep=(None, None)):
+        """x: [B, H, W, C] -> same shape; bias: attn.position_bias() or None;
+        keep: the two branches' stochastic-depth factors (drop_path) or Nones."""
         _, h, w, c = x.shape
         index, inverse, mask = self._layout(h, w, x.dtype)
         windows = take_tokens(self.norm1(x), index, inverse, (-1, self.window ** 2, c))
         t = take_tokens(self.attn(windows, mask, bias), inverse, index, x.shape)
-        x = add(x, drop_path(t, self.drop_path_rate, rng, training))
+        x = add(x, drop_path(t, keep[0]))
 
         t = self.fc2(gelu(self.fc1(self.norm2(x))))
-        return add(x, drop_path(t, self.drop_path_rate, rng, training))
+        return add(x, drop_path(t, keep[1]))
 
     def named_params(self, prefix):
         yield from self.norm1.named_params(prefix + ".norm1")
@@ -364,8 +363,7 @@ class SwinEncoder:
             for b in range(depth):
                 shift = 0 if b % 2 == 0 else config.effective_shift
                 blocks.append(
-                    SwinBlock(dim, heads, config.window_size, shift, config.mlp_ratio,
-                              rng, dtype, config.drop_path)
+                    SwinBlock(dim, heads, config.window_size, shift, config.mlp_ratio, rng, dtype)
                 )
             self.stages.append(blocks)
         self.norm = LayerNorm(config.final_dim, dtype)
@@ -377,12 +375,12 @@ class SwinEncoder:
         images: Tensor [B, H, W, in_channels] with H == W == config.img_size.
         token_mask: optional bool array [B, H/4, W/4]; masked positions are
         replaced by `mask_token` right after the embedding norm.
-        A forward of a large even batch runs as two half-batch forwards, one
-        per thread (tensor.batch_halves), on any number of CPUs; under a
-        tape so does its backward. Their bytes are the reference: those of
-        each half run alone. Each block's position bias depends only on
-        parameters: it is made once, before the halves, and its backward
-        runs once, on the gradient both halves summed.
+        A forward of a large batch runs as two half-batch forwards, one per
+        thread (tensor.batch_halves), on any number of CPUs; under a tape so
+        does its backward. Their bytes are the reference: those of each half
+        run alone. Each block's position bias (whose backward runs once, on
+        the gradient both halves summed) and its stochastic-depth factors
+        are made once, before the halves; each half takes its items' factors.
         """
         if images.ndim != 4:
             raise ShapeError(f"expected [B,H,W,C] images, got {images.shape}")
@@ -395,34 +393,35 @@ class SwinEncoder:
             raise ConfigError(f"input has {images.shape[3]} channels "
                               f"!= configured in_channels {self.config.in_channels}")
         b = images.shape[0]
+        if token_mask is not None and len(token_mask) != b:  # a half would drop its rows
+            raise ShapeError(f"token mask of {len(token_mask)} items for a batch of {b}")
         biases = [[block.attn.position_bias() for block in blocks] for blocks in self.stages]
+        rate, keep = self.config.drop_path, None
+        if training and rate > 0:  # stochastic depth: each block's two branches' factors
+            u = rng.uniform(size=(sum(self.config.depths), 2, b))  # a draw per branch's order
+            keep = (u >= rate).astype(self.dtype) / (1.0 - rate)
+        if images.requires_grad or _wrapped_calls():  # the halves take no image grad
+            return self._forward(images, token_mask, mask_token, biases, keep)
         embedded = b * self.config.stage_resolution(0) ** 2 * self.config.embed_dim
-        out = None
-        # stochastic depth draws over the whole batch, and the halves take no
-        # gradient to the images
-        if (not (training and self.config.drop_path > 0) and not images.requires_grad
-                and (token_mask is None or len(token_mask) == b) and not _wrapped_calls()):
-            out = batch_halves(b, embedded, lambda lo, hi: self._forward(
-                Tensor(images.data[lo:hi]), None if token_mask is None else token_mask[lo:hi],
-                mask_token, biases, training, rng))
-        if out is None:
-            out = self._forward(images, token_mask, mask_token, biases, training, rng)
-        return out
+        return batch_halves(b, embedded, lambda lo, hi: self._forward(
+            Tensor(images.data[lo:hi]), None if token_mask is None else token_mask[lo:hi],
+            mask_token, biases, None if keep is None else keep[..., lo:hi]))
 
     __call__ = forward
 
-    def _forward(self, images, token_mask, mask_token, biases, training, rng):
+    def _forward(self, images, token_mask, mask_token, biases, keep):
         x = patch_partition(images)
         x = self.embed_norm(self.embed(x))
         if token_mask is not None:
             from .mim import apply_mask  # local import; mim depends on swin
 
             x = apply_mask(x, token_mask, mask_token)
+        keeps = iter(() if keep is None else keep)
         for merge, blocks, stage_biases in zip(self.merges, self.stages, biases):
             if merge is not None:
                 x = merge(x)
             for block, bias in zip(blocks, stage_biases):
-                x = block(x, training=training, rng=rng, bias=bias)
+                x = block(x, bias, next(keeps, (None, None)))
         return self.norm(x)
 
     def named_params(self):

@@ -18,7 +18,7 @@ accumulating gradients into every participating cell.
 Training runs in float32; gradient verification (grad_check) runs the same
 graph in float64 against central finite differences.
 
-A large encoder pass over an even batch runs as two half-batch passes
+A large encoder pass over two or more items runs as two half-batch passes
 (`batch_halves`), the first on one helper thread; that is the only work the
 helper runs. Under a tape each half records on a tape of its own; their
 backward passes run at the same time and meet for every gradient that sums
@@ -251,9 +251,9 @@ def _cell(t):
 # the helper thread
 # ---------------------------------------------------------------------------
 
-# An encoder pass whose largest array holds fewer elements than this, or
-# whose batch is odd, runs whole on the calling thread; a larger one over an
-# even batch runs as its two batch halves (`batch_halves`). The threshold sits
+# An encoder pass whose largest array holds fewer elements than this, or that
+# has one item, runs whole on the calling thread; a larger one runs as its two
+# batch halves (`batch_halves`), odd or even. The threshold sits
 # at the first power of two above every tensor of configs/tiny.json (the
 # largest is the MIM head's 128 x 3072 weight, 393,216 elements), so
 # desk-scale runs never split.
@@ -336,13 +336,13 @@ class _Meet:
     meet for the gradients that sum over the batch's rows.
 
     Both tapes record the same op sequence, so the k-th post of one half
-    pairs with the k-th post of the other. A pair is ready once both rows
-    are posted: its sums then run once, on the two halves' rows
-    concatenated along axis 0 (the whole batch's rows, so the whole batch's
-    call), and the posted arrays go. Ready sums wait on a shared list, and
-    a thread runs what is ready each time it posts, before it adds its own
-    rows: the thread that completes a pair is the one that is behind, and
-    made to run every sum it completes it would fall further behind.
+    pairs with the k-th post of the other: the same trailing dims, rows of
+    either count. A pair is ready once both are posted: its sums then run
+    once, on both halves' rows concatenated (the whole batch's call), and
+    the posted arrays go. Ready sums wait on a shared list, and a thread
+    runs what is ready each time it posts, before it adds its own rows: the
+    thread that completes a pair is the one that is behind, and made to run
+    every sum it completes it would fall further behind.
     """
 
     def __init__(self):
@@ -362,7 +362,7 @@ class _Meet:
                 self._posted[half][key] = (rows, sums)
                 return
             theirs = other[0]
-            if [(r.shape, r.dtype) for r in rows] != [(r.shape, r.dtype) for r in theirs]:
+            if [(r.shape[1:], r.dtype) for r in rows] != [(r.shape[1:], r.dtype) for r in theirs]:
                 raise ShapeError(f"batch halves posted rows {[r.shape for r in theirs]} and "
                                  f"{[r.shape for r in rows]} to sum {key}")
             self._ready.append(((rows, theirs) if half == 0 else (theirs, rows), sums))
@@ -395,22 +395,23 @@ class _Meet:
         return sum(map(len, self._posted))
 
 
-def _run_half(index, meet, fn):
+def _run_half(index, meet, fn, tape=None):
     """fn(), run as half `index` of a batch_halves call whose sums meet at
-    `meet` (None for a tape-free call)."""
-    _THREAD.half, _THREAD.meet = index, meet
+    `meet` and whose ops record on `tape` (None for a tape-free call)."""
+    prev = _THREAD.tape
+    _THREAD.half, _THREAD.meet, _THREAD.tape = index, meet, tape
     try:
         return fn()
     finally:
-        _THREAD.half = _THREAD.meet = None
+        _THREAD.half, _THREAD.meet, _THREAD.tape = None, None, prev
 
 
 def batch_halves(n, size, fn):
     """The Tensor joining fn(0, n // 2) and fn(n // 2, n) along axis 0, the
-    first run on the helper thread (_pair), for a pass over an even batch of
-    n items whose largest array holds at least _SPLIT_MIN elements; None when
-    any of that does not hold or this thread already runs a half, and the
-    caller then runs the whole batch itself, on its own thread.
+    first run on the helper thread (_pair), for a pass over n >= 2 items
+    whose largest array holds at least _SPLIT_MIN elements (an odd batch's
+    second half has the extra item); when any of that does not hold or this
+    thread already runs a half, fn(0, n), the whole batch on this thread.
 
     fn(lo, hi) runs the pass on items [lo, hi) and returns a Tensor; the rows
     of every kernel's arrays must come in whole items. The halves are the
@@ -427,20 +428,13 @@ def batch_halves(n, size, fn):
     (_batch_sums), so each such sum is still one call over the whole batch's
     rows (_Meet).
     """
-    if n % 2 or size < _SPLIT_MIN or _THREAD.half is not None:
-        return None
+    if n < 2 or size < _SPLIT_MIN or _THREAD.half is not None:
+        return fn(0, n)
     taped = _THREAD.tape is not None
     tapes = (Tape(), Tape()) if taped else (None, None)
     meet = _Meet() if taped else None
-
-    def forward(index, lo, hi):
-        if tapes[index] is None:
-            return fn(lo, hi)
-        with tapes[index]:
-            return fn(lo, hi)
-
-    first, second = _pair(lambda: _run_half(0, meet, lambda: forward(0, 0, n // 2)),
-                          lambda: _run_half(1, meet, lambda: forward(1, n // 2, n)))
+    first, second = _pair(lambda: _run_half(0, meet, lambda: fn(0, n // 2), tapes[0]),
+                          lambda: _run_half(1, meet, lambda: fn(n // 2, n), tapes[1]))
     out = Tensor(np.concatenate([first.data, second.data]),
                  requires_grad=first.requires_grad or second.requires_grad)
     rows, roots = len(first.data), (first.node, second.node)
@@ -1065,13 +1059,11 @@ def window_reverse(windows, window, height, width, batch=None):
     return take_tokens(windows, inverse, index, lead + (height, width, windows.shape[-1]))
 
 
-def drop_path(x, rate, rng, training):
-    """Stochastic depth over the batch axis; identity when rate is 0."""
-    if rate <= 0.0 or not training:
+def drop_path(x, keep):
+    """Stochastic depth: x times `keep`, one factor per item of the batch; identity for None."""
+    if keep is None:
         return x
-    keep = (rng.uniform(size=(x.shape[0],)) >= rate).astype(x.data.dtype) / (1.0 - rate)
-    keep = keep.reshape((x.shape[0],) + (1,) * (x.ndim - 1))
-    return mul(x, Tensor(keep))
+    return mul(x, Tensor(keep.reshape((len(keep),) + (1,) * (x.ndim - 1))))
 
 
 # ---------------------------------------------------------------------------

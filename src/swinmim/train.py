@@ -330,6 +330,8 @@ def load_checkpoint(path):
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(f"{path}: unsupported version {version}")
     meta = json.loads(r.take(r.u64()).decode("utf-8"))
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata is not a JSON object")
     tensors = {}
     for _ in range(r.u32()):
         name = r.take(r.u64()).decode("utf-8")
@@ -530,7 +532,13 @@ def _run_phase(run_cfg, model, index, out_dir, seed, resume, kind, log_name, tit
     start_epoch = 0
     if resume is not None:
         meta, tensors = load_checkpoint(resume)
-        start_epoch = meta["progress"]["epoch"]
+        progress = meta.get("progress") if isinstance(meta.get("progress"), dict) else {}
+        missing = [f"progress.{k}" for k in ("epoch", "global_step") if k not in progress]
+        missing += [k for k in ("optimizer_step",) if meta.get(k) is None]
+        missing += [k for k in optimizer.state_tensors() if k not in tensors]
+        if missing:  # checked before anything is restored
+            raise CheckpointError(f"{resume}: cannot resume without {missing[0]}")
+        start_epoch = progress["epoch"]
         if start_epoch >= epochs:
             raise ValueError(f"{resume} is at epoch {start_epoch} of {epochs}: "
                              "nothing left to train")
@@ -538,7 +546,7 @@ def _run_phase(run_cfg, model, index, out_dir, seed, resume, kind, log_name, tit
         optimizer.load_state_tensors(tensors, meta["optimizer_step"])
         del tensors  # restored: the model and optimizer hold copies
         if os.path.exists(log_path):  # drop the rows at or past the checkpoint
-            limit = meta["progress"]["global_step" if per_step else "epoch"]
+            limit = progress["global_step" if per_step else "epoch"]
             with open(log_path, encoding="utf-8") as f:
                 lines = f.readlines()
             with open(log_path, "w", encoding="utf-8") as f:

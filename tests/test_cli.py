@@ -332,6 +332,28 @@ class TestPretrainCommand:
         assert log.read_bytes() == before
         assert not (tmp_path / "new").exists()
 
+    @pytest.mark.parametrize("meta,named", [
+        ({"kind": "pretrain"}, "progress.epoch"),
+        ({"progress": {"epoch": 0}, "optimizer_step": 0}, "progress.global_step"),
+        ({"progress": {"epoch": 0, "global_step": 0}, "optimizer_step": None}, "optimizer_step"),
+        ({"progress": {"epoch": 0, "global_step": 0}, "optimizer_step": 0}, "optim.m.embed.weight"),
+        (["progress"], "metadata is not a JSON object")],
+        ids=["no progress", "no global_step", "no optimizer_step", "no moments", "a list"])
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_resume_of_an_incomplete_checkpoint_exit_2(self, tiny_config_path, micro_root,
+                                                       tmp_path, capsys, command, meta, named):
+        """Metadata without what a resume reads, or optimizer state without
+        its moments, ends in one error line naming what is missing, before
+        anything is restored or --out is made."""
+        ckpt, out = tmp_path / "bad.sldb", tmp_path / "new"
+        save_checkpoint(ckpt, meta, {})
+        code = main([command, "--config", tiny_config_path, "--data", micro_root,
+                     "--out", str(out), "--resume", str(ckpt)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1 and named in err
+        assert not out.exists()
+
 
 class TestFinetuneEval:
     def test_finetune_then_eval(self, tiny_config_path, micro_root, tmp_path, capsys):

@@ -475,16 +475,16 @@ class TestEncoder:
 @pytest.fixture
 def split_tiny(helper_pool, monkeypatch):
     """A helper thread, and a split threshold at which a tiny-config encoder
-    splits at B=4: its stage-0 kernels are above it. The pool's `halves`
+    splits from B=2 on: its stage-0 kernels are above it. The pool's `halves`
     lists (index, taped, ran on the helper) for each batch half run, forward
     or backward."""
-    monkeypatch.setattr(tensor_mod, "_SPLIT_MIN", 1 << 14)
+    monkeypatch.setattr(tensor_mod, "_SPLIT_MIN", 1 << 13)
     run, helper_pool.halves = tensor_mod._run_half, []
 
-    def recorded(index, meet, fn):
+    def recorded(index, meet, fn, tape=None):
         on_helper = threading.current_thread() is not threading.main_thread()
         helper_pool.halves.append((index, meet is not None, on_helper))
-        return run(index, meet, fn)
+        return run(index, meet, fn, tape)
 
     monkeypatch.setattr(tensor_mod, "_run_half", recorded)
     return helper_pool
@@ -494,12 +494,13 @@ def encoder_bytes(encoder, images, token_mask=None, mask_token=None):
     return encoder(t32(images), token_mask=token_mask, mask_token=mask_token).numpy().tobytes()
 
 
-def whole_batch(monkeypatch, encoder=None):
-    """Run the whole batch instead of its halves; given the encoder, make the
-    whole batch's GEMMs of its linears (forward and dx) as the halves make
-    them, one per batch half, since a BLAS may block a GEMM by its row count.
+def whole_batch(monkeypatch, encoder=None, batch=None):
+    """Run the whole batch instead of its halves; given the encoder and the
+    batch size, make the whole batch's GEMMs of its linears (forward and dx)
+    as the halves make them, one over the rows of the first batch // 2 items
+    and one over the rest, since a BLAS may block a GEMM by its row count.
     The heads' GEMMs and every dW stay over the whole batch's rows."""
-    monkeypatch.setattr(swin_mod, "batch_halves", lambda n, size, fn: None)
+    monkeypatch.setattr(swin_mod, "batch_halves", lambda n, size, fn: fn(0, n))
     if encoder is None:
         return
     weights = {id(p.data) for _, p in encoder.named_params() if p.data.ndim == 2}
@@ -507,7 +508,8 @@ def whole_batch(monkeypatch, encoder=None):
     def matmul(a, b):
         if id(b if b.base is None else b.base) not in weights:
             return np.matmul(a, b)
-        return np.concatenate([np.matmul(a[:len(a) // 2], b), np.matmul(a[len(a) // 2:], b)])
+        cut = len(a) // batch * (batch // 2)  # the first half's rows
+        return np.concatenate([np.matmul(a[:cut], b), np.matmul(a[cut:], b)])
 
     by_halves = types.ModuleType("numpy")
     vars(by_halves).update(vars(np), matmul=matmul)
@@ -526,20 +528,28 @@ def step_bytes(model, loss_fn):
 
 
 class TestHelperThread:
-    """An encoder forward runs as two batch halves, and under a tape so does
-    its backward, with the bytes of the whole batch made at the halves'
-    heights."""
+    """An encoder forward runs as two batch halves, odd or even, and under a
+    tape so does its backward, with the bytes of the whole batch made at the
+    halves' heights."""
 
     def setup_method(self):
         rng = Rng(16)
         self.encoder = SwinEncoder(tiny_config(), rng.child(0))
-        self.images = rng.child(1).normal(size=(4, 64, 64, 3)).astype(np.float32)
-        self.mask = rng.child(2).uniform(size=(4, 16, 16)) < 0.5
         self.token = t32(rng.child(3).normal(size=(16,)))
         self.mim = MIMPretrainModel(tiny_config(), rng.child(4), mask_spec=MaskSpec(16, 0.5))
-        self.masks = [generate_mask(self.mim.mask_spec, 64, rng.child(5, j)) for j in range(4)]
         self.clf = SwinClassifier(tiny_config(), rng.child(6), with_mask_token=True)
-        self.labels = np.eye(10, dtype=np.float32)[[3, 1, 4, 1]]
+        self.items = (  # five items; a test runs the first four unless it takes another count
+            np.concatenate([rng.child(1).normal(size=(4, 64, 64, 3)),
+                            rng.child(7).normal(size=(1, 64, 64, 3))]).astype(np.float32),
+            np.concatenate([rng.child(2).uniform(size=(4, 16, 16)),
+                            rng.child(8).uniform(size=(1, 16, 16))]) < 0.5,
+            [generate_mask(self.mim.mask_spec, 64, rng.child(5, j)) for j in range(5)],
+            np.eye(10, dtype=np.float32)[[3, 1, 4, 1, 5]])
+        self.take(4)
+
+    def take(self, batch):
+        """Make the first `batch` of the five items the batch."""
+        self.images, self.mask, self.masks, self.labels = (a[:batch] for a in self.items)
 
     def outputs(self):
         return (encoder_bytes(self.encoder, self.images),
@@ -550,7 +560,8 @@ class TestHelperThread:
 
     def clf_step(self):
         def loss():
-            logits = self.clf(t32(self.images), token_mask=self.mask, training=True)
+            logits = self.clf(t32(self.images), token_mask=self.mask, training=True,
+                              rng=Rng(17))
             return tensor_sum(mul(log_softmax(logits), t32(-self.labels)))
         return step_bytes(self.clf, loss)
 
@@ -558,9 +569,19 @@ class TestHelperThread:
         split = self.outputs()
         assert split_tiny.tasks == 2  # one batch half per forward, nothing else
         assert sorted(split_tiny.halves) == [(0, False, True)] * 2 + [(1, False, False)] * 2
-        whole_batch(monkeypatch, self.encoder)
+        whole_batch(monkeypatch, self.encoder, 4)
         assert self.outputs() == split
         assert split_tiny.tasks == 2  # a tape-free whole batch splits nothing
+
+    @pytest.mark.parametrize("batch", [3, 5])
+    def test_odd_split_forward_matches_whole_batch(self, split_tiny, monkeypatch, batch):
+        """An odd batch splits at batch // 2 items, its second half taking
+        the extra item, and gives the whole batch's bytes."""
+        self.take(batch)
+        split = self.outputs()
+        assert sorted(split_tiny.halves) == [(0, False, True)] * 2 + [(1, False, False)] * 2
+        whole_batch(monkeypatch, self.encoder, batch)
+        assert self.outputs() == split
 
     def test_split_forward_matches_halves_run_alone(self, split_tiny, monkeypatch):
         """The reference of a split forward: each half as a whole batch of
@@ -574,43 +595,83 @@ class TestHelperThread:
             alone.append(self.outputs())
         assert split == tuple(a + b for a, b in zip(*alone))
 
-    @pytest.mark.parametrize("model", ["mim", "classifier"])
-    def test_split_step_matches_whole_batch(self, split_tiny, monkeypatch, model):
+    def split_step_matches_whole_batch(self, split_tiny, monkeypatch, model):
         step = self.mim_step if model == "mim" else self.clf_step
         split = step()
         # a forward and a backward per half, half 0's on the helper
         assert sorted(split_tiny.halves) == [(0, True, True)] * 2 + [(1, True, False)] * 2
-        whole_batch(monkeypatch, (self.mim if model == "mim" else self.clf).encoder)
+        whole_batch(monkeypatch, (self.mim if model == "mim" else self.clf).encoder,
+                    len(self.images))
         assert step() == split
+        return split
+
+    @pytest.mark.parametrize("model", ["mim", "classifier"])
+    def test_split_step_matches_whole_batch(self, split_tiny, monkeypatch, model):
+        self.split_step_matches_whole_batch(split_tiny, monkeypatch, model)
+
+    @pytest.mark.parametrize("batch", [3, 5])
+    @pytest.mark.parametrize("model", ["mim", "classifier"])
+    def test_odd_split_step_matches_whole_batch(self, split_tiny, monkeypatch, model, batch):
+        self.take(batch)
+        self.split_step_matches_whole_batch(split_tiny, monkeypatch, model)
+
+    @pytest.mark.parametrize("batch", [3, 4])
+    def test_drop_path_step_matches_whole_batch(self, split_tiny, monkeypatch, batch):
+        """A training step with stochastic depth splits too: the factors are
+        drawn for the whole batch first, and each half takes its items'."""
+        self.take(batch)
+        plain = self.clf_step()
+        split_tiny.halves.clear()
+        self.clf = SwinClassifier(tiny_config(drop_path=0.1), Rng(16).child(6),
+                                  with_mask_token=True)
+        dropped = self.split_step_matches_whole_batch(split_tiny, monkeypatch, "classifier")
+        assert dropped != plain
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_drop_path_factors_are_a_draw_per_branch(self, monkeypatch, dtype):
+        """The factors drawn at once before the split are bitwise those of a
+        draw per branch, in block order, the attention branch first."""
+        rate, batch, factors = 0.2, 3, []
+        encoder = SwinEncoder(tiny_config(drop_path=rate), Rng(16).child(0), dtype)
+
+        def spy(x, keep, drop=swin_mod.drop_path):
+            factors.append(keep)
+            return drop(x, keep)
+
+        monkeypatch.setattr(swin_mod, "drop_path", spy)
+        encoder(Tensor(self.images[:batch].astype(dtype)), training=True, rng=Rng(17))
+        draws = Rng(17)
+        per_branch = [(draws.uniform(size=(batch,)) >= rate).astype(dtype) / (1.0 - rate)
+                      for _ in range(2 * sum(encoder.config.depths))]
+        assert [(f.dtype, f.tobytes()) for f in factors] == \
+            [(f.dtype, f.tobytes()) for f in per_branch]
+        assert any((f == 0).any() for f in factors) and any((f > 0).any() for f in factors)
 
     @pytest.mark.parametrize("batch", [3, 4])
     def test_helper_runs_only_batch_halves(self, split_tiny, batch):
-        """A taped MIM step hands the helper its batch halves and nothing
-        else: none for a whole (odd) batch, and for an even batch the first
-        half's forward and its backward, though the head's weight (128 x
-        3072) is above the threshold too."""
-        self.images, self.masks = self.images[:batch], self.masks[:batch]
+        """A taped MIM step, odd or even, hands the helper its first batch
+        half's forward and its backward and nothing else, though the head's
+        weight (128 x 3072) is above the threshold too."""
+        self.take(batch)
         self.mim_step()
-        assert split_tiny.tasks == (0 if batch % 2 else 2)
+        assert split_tiny.tasks == 2
 
-    @pytest.mark.parametrize("case", ["odd batch", "drop path", "input grad", "small",
-                                      "mask length"])
+    @pytest.mark.parametrize("case", ["one item", "input grad", "small", "mask length"])
     def test_no_split(self, split_tiny, monkeypatch, case):
         """A taped training step that must or cannot split runs the whole batch."""
-        images, encoder = self.images, self.encoder
-        if case == "odd batch":
-            images = np.concatenate([images, images[:1]])
-        elif case == "drop path":  # stochastic depth draws over the whole batch
-            encoder = SwinEncoder(tiny_config(drop_path=0.1), Rng(16).child(0))
+        images = self.images
+        if case == "one item":  # nothing to split, however large
+            images = images[:1]
+            monkeypatch.setattr(tensor_mod, "_SPLIT_MIN", 2)
         elif case == "small":  # tiny-config work at B=4 sits below the real threshold
             monkeypatch.setattr(tensor_mod, "_SPLIT_MIN", 1 << 15)
         x = t32(images, grad=case == "input grad")
         with Tape() as tape:
-            if case == "mask length":  # the whole batch reports the mismatch
-                with pytest.raises(ShapeError, match="token mask"):
-                    encoder(x, token_mask=self.mask[:2], mask_token=self.token, training=True)
+            if case == "mask length":  # refused before the split, which would slice it
+                with pytest.raises(ShapeError, match="token mask of 2 items for a batch of 4"):
+                    self.encoder(x, token_mask=self.mask[:2], mask_token=self.token)
                 return
-            loss = tensor_sum(encoder(x, training=True, rng=Rng(17)))
+            loss = tensor_sum(self.encoder(x, training=True, rng=Rng(17)))
         tape.backward(loss)
         assert split_tiny.halves == []
         if case == "input grad":

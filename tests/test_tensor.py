@@ -999,6 +999,8 @@ class TestHelperThread:
         assert all(ident != caller for ident, _ in seen)
 
     def test_meet_pairs_posts_in_order_and_checks_shapes(self):
+        """Posts pair in order whatever their row counts (an odd batch's
+        halves differ by an item), but not across trailing dims."""
         meet = tensor_mod._Meet()
         w = Tensor(np.zeros(3, np.float32), requires_grad=True)
 
@@ -1006,14 +1008,14 @@ class TestHelperThread:
             return [(w, rows.sum(axis=0))]
 
         meet.post(1, (np.full((2, 3), 2.0, np.float32),), sums)
-        meet.post(0, (np.ones((2, 3), np.float32),), sums)
+        meet.post(0, (np.ones((1, 3), np.float32),), sums)
         assert meet.unmatched() == 0
         meet.run_ready()
-        assert np.array_equal(w.grad, np.full(3, 6.0, np.float32))
+        assert np.array_equal(w.grad, np.full(3, 5.0, np.float32))
         meet.post(0, (np.ones((2, 3), np.float32),), sums)
         assert meet.unmatched() == 1
         with pytest.raises(ShapeError, match="batch halves posted"):
-            meet.post(1, (np.ones((3, 3), np.float32),), sums)
+            meet.post(1, (np.ones((2, 4), np.float32),), sums)
 
     def test_meet_under_thread_switches_loses_no_sum(self):
         """Four rendezvous at once, each between two posting threads that
@@ -1061,7 +1063,8 @@ class TestHelperThread:
                 assert np.array_equal(g.grad, expected[k].sum(axis=0)), k
 
     def test_small_work_runs_on_caller(self, helper_pool):
-        assert tensor_mod.batch_halves(8, tensor_mod._SPLIT_MIN - 1, None) is None
+        whole = tensor_mod.batch_halves(8, tensor_mod._SPLIT_MIN - 1, lambda lo, hi: (lo, hi))
+        assert whole == (0, 8)
         assert helper_pool.tasks == 0
 
     def test_forked_child_makes_its_own_helper(self, helper_pool):
@@ -1097,7 +1100,7 @@ class TestHelperThread:
         monkeypatch.setattr(tensor_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(tensor_mod.os, "cpu_count", lambda: 1)
         monkeypatch.setattr(tensor_mod, "_steady_malloc", lambda: capped.append(True))
-        assert tensor_mod.batch_halves(8, tensor_mod._SPLIT_MIN - 1, None) is None
+        assert tensor_mod.batch_halves(8, tensor_mod._SPLIT_MIN - 1, lambda lo, hi: hi) == 8
         assert capped == [] and tensor_mod._POOL is None  # small work makes no helper
         pool = tensor_mod._helper()
         try:
