@@ -219,14 +219,8 @@ def _downsample_area(images, factor):
 
 
 def pretrain_step(images, masks, model, optimizer, lr, rng=None):
-    """One fused mask->encode->predict->loss->backward->update step.
+    """One masked-pixel step through train.train_step; returns the pre-update
+    loss, and updates nothing when it is not finite."""
+    from .train import train_step
 
-    Returns the pre-update loss value.
-    """
-    from .tensor import Tape
-
-    with Tape() as tape:
-        loss = model.loss(images, masks, training=True, rng=rng)
-    tape.backward(loss)
-    optimizer.step(lr)
-    return loss.item()
+    return train_step(lambda: model.loss(images, masks, training=True, rng=rng), optimizer, lr)

@@ -1,10 +1,11 @@
 """Optimization, training loops, evaluation, and checkpoint persistence.
 
 AdamW with decoupled weight decay and a cosine learning-rate schedule
-drive both phases through one loop: masked-pixel pretraining and 10-class
-fine-tuning (optionally warm-started from a pretraining checkpoint, with
-relative position bias tables resampled when the window size changed
-between phases). Checkpoints use a little-endian binary format that
+drive both phases through one loop and one step (train_step): masked-pixel
+pretraining and 10-class fine-tuning (optionally warm-started from a
+pretraining checkpoint, with relative position bias tables resampled when
+the window size changed between phases). A step whose loss is not finite
+updates nothing. Checkpoints use a little-endian binary format that
 round-trips parameters bitwise, so interrupted runs resume exactly.
 """
 
@@ -150,6 +151,21 @@ class CosineSchedule:
 def make_schedule(optim_cfg, sched_cfg, total_steps):
     min_lr = sched_cfg.min_lr if sched_cfg.min_lr is not None else optim_cfg.base_lr / 100.0
     return CosineSchedule(optim_cfg.base_lr, min_lr, total_steps, sched_cfg.warmup_steps)
+
+
+def train_step(loss_fn, optimizer, lr):
+    """The one training step of both phases: loss_fn() under a tape, then
+    backward and optimizer.step(lr). Returns the pre-update loss; when it
+    is not finite, nothing is updated and the optimizer state is unchanged."""
+    # a diverging step is reported by the finiteness guards, not numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        with Tape() as tape:
+            loss = loss_fn()
+        value = loss.item()
+        if math.isfinite(value):
+            tape.backward(loss)
+            optimizer.step(lr)
+    return value
 
 
 def soft_cross_entropy(logits, labels):
@@ -538,6 +554,15 @@ def _run_phase(run_cfg, model, index, out_dir, seed, resume, kind, log_name, tit
         missing += [k for k in optimizer.state_tensors() if k not in tensors]
         if missing:  # checked before anything is restored
             raise CheckpointError(f"{resume}: cannot resume without {missing[0]}")
+        counts = {"progress.epoch": progress["epoch"],
+                  "progress.global_step": progress["global_step"],
+                  "optimizer_step": meta["optimizer_step"]}
+        bad = [f"{k} is {v!r}, not an int >= 0" for k, v in counts.items()
+               if type(v) is not int or v < 0]
+        bad += [f"{k} has shape {tensors[k].shape}, not {v.shape}"
+                for k, v in optimizer.state_tensors().items() if tensors[k].shape != v.shape]
+        if bad:
+            raise CheckpointError(f"{resume}: {bad[0]}")
         start_epoch = progress["epoch"]
         if start_epoch >= epochs:
             raise ValueError(f"{resume} is at epoch {start_epoch} of {epochs}: "
@@ -568,9 +593,7 @@ def _run_phase(run_cfg, model, index, out_dir, seed, resume, kind, log_name, tit
             for i, batch in enumerate(batches):
                 step = epoch * spe + i
                 lr = schedule.lr_at(step)
-                # a diverging step is reported by the finiteness guards, not numpy
-                with np.errstate(over="ignore", invalid="ignore"):
-                    loss = step_fn(batch, step, lr, optimizer)
+                loss = step_fn(batch, step, lr, optimizer)
                 if not math.isfinite(loss):
                     raise FloatingPointError(f"{title}: loss is {loss} at step {step}")
                 losses.append(loss)
@@ -596,6 +619,11 @@ def _run_phase(run_cfg, model, index, out_dir, seed, resume, kind, log_name, tit
     return ckpt_path
 
 
+def _draw_masks(spec, img_size, rng, step, count):
+    """The masks of a step's items: item j draws from rng.child(_MASK, step, j)."""
+    return [generate_mask(spec, img_size, rng.child(_MASK, step, j)) for j in range(count)]
+
+
 def run_pretrain(run_cfg, index, out_dir, seed=0, resume=None):
     """Masked-pixel pretraining over the index; returns (model, ckpt path).
 
@@ -617,11 +645,7 @@ def run_pretrain(run_cfg, index, out_dir, seed=0, resume=None):
     img_size = run_cfg.model.img_size
 
     def step_fn(batch, step, lr, optimizer):
-        mask_rng = rng.child(_MASK, step)
-        masks = [
-            generate_mask(model.mask_spec, img_size, mask_rng.child(j))
-            for j in range(len(batch.images))
-        ]
+        masks = _draw_masks(model.mask_spec, img_size, rng, step, len(batch.images))
         return pretrain_step(Tensor(batch.images), masks, model, optimizer, lr,
                              rng=rng.child(_DROP, step))
 
@@ -659,19 +683,11 @@ def run_finetune(run_cfg, train_index, eval_index, out_dir, seed=0,
                                       rng.child(_AUG, step))
         token_mask = None
         if with_token:
-            mask_rng = rng.child(_MASK, step)
-            token_mask = np.stack([
-                generate_mask(mask_spec, img_size, mask_rng.child(j)).token_mask()
-                for j in range(len(images))
-            ])
-        with Tape() as tape:
-            logits = model(Tensor(images), token_mask=token_mask,
-                           mask_token=model.mask_token, training=True,
-                           rng=rng.child(_DROP, step))
-            loss = soft_cross_entropy(logits, labels)
-        tape.backward(loss)
-        optimizer.step(lr)
-        return loss.item()
+            masks = _draw_masks(mask_spec, img_size, rng, step, len(images))
+            token_mask = np.stack([m.token_mask() for m in masks])
+        return train_step(lambda: soft_cross_entropy(
+            model(Tensor(images), token_mask=token_mask, mask_token=model.mask_token,
+                  training=True, rng=rng.child(_DROP, step)), labels), optimizer, lr)
 
     def end_epoch(epoch, losses, log, cache):
         nonlocal metrics

@@ -354,6 +354,33 @@ class TestPretrainCommand:
         assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1 and named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("named,meta,tensors", [
+        ("progress.epoch", {"progress": {"epoch": "1", "global_step": 3}}, {}),
+        ("progress.global_step", {"progress": {"epoch": 1, "global_step": True}}, {}),
+        ("optimizer_step", {"optimizer_step": 3.0}, {}),
+        ("optim.m.embed.weight", {}, {"optim.m.embed.weight": np.zeros((3, 3), np.float32)})],
+        ids=["epoch a string", "global_step a bool", "optimizer_step a float",
+             "a moment of another shape"])
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_resume_of_a_malformed_checkpoint_exit_2(self, tiny_config_path, micro_root,
+                                                     tmp_path, capsys, command, named, meta,
+                                                     tensors):
+        """A count that is not an int or a moment that does not have its
+        parameter's shape ends in one error line naming it, before anything
+        is restored or --out is made."""
+        done, ckpt, out = tmp_path / "done", tmp_path / "bad.sldb", tmp_path / "new"
+        assert main([command, "--config", tiny_config_path, "--data", micro_root,
+                     "--out", str(done)]) == 0
+        good_meta, good_tensors = load_checkpoint(done / "checkpoint.sldb")
+        save_checkpoint(ckpt, {**good_meta, **meta}, {**good_tensors, **tensors})
+        capsys.readouterr()
+        code = main([command, "--config", tiny_config_path, "--data", micro_root,
+                     "--out", str(out), "--resume", str(ckpt), "--override", "schedule.epochs=2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: {named} ") and err.count("\n") == 1, err
+        assert not out.exists()
+
 
 class TestFinetuneEval:
     def test_finetune_then_eval(self, tiny_config_path, micro_root, tmp_path, capsys):

@@ -13,7 +13,7 @@ import swinmim.train as train_mod
 from conftest import tiny_config, write_synthetic_dataset
 from swinmim.config import RunConfig, config_from_dict
 from swinmim.data import build_index, split_dataset
-from swinmim.mim import MIMPretrainModel
+from swinmim.mim import MaskSpec, MIMPretrainModel, generate_mask, pretrain_step
 from swinmim.rng import Rng
 from swinmim.swin import SwinClassifier, SwinConfig, count_params
 from swinmim.tensor import Tape, Tensor
@@ -39,6 +39,7 @@ from swinmim.train import (
     save_checkpoint,
     save_model_checkpoint,
     soft_cross_entropy,
+    train_step,
 )
 
 
@@ -534,6 +535,88 @@ class TestRunPretrain:
         for (n1, p1), (n2, p2) in zip(m1.named_params(), m2.named_params()):
             assert n1 == n2
             assert np.array_equal(p1.data, p2.data)
+
+
+def optimizer_state(optimizer):
+    """Bytes of every parameter and moment, and the step count."""
+    arrays = [p.data for p in optimizer.params.values()]
+    arrays += [*optimizer.m.values(), *optimizer.v.values()]
+    return [a.tobytes() for a in arrays], optimizer.step_count
+
+
+class TestTrainStep:
+    """A step whose loss is not finite runs neither backward nor the update:
+    the weights, both moments and the step count stay as they were."""
+
+    @pytest.fixture(autouse=True)
+    def kernels_pass_nan(self, monkeypatch):
+        """Runs take NaN through the kernels, as they do outside the tests."""
+        monkeypatch.setattr(tensor_mod, "_CHECK_FINITE", False)
+
+    @staticmethod
+    def nan_images():
+        """Two images, and the same two with one pixel channel NaN."""
+        images = Rng(3).uniform(-1, 1, size=(2, 64, 64, 3)).astype(np.float32)
+        bad = images.copy()
+        bad[1, 40, 9, 2] = np.nan
+        return images, bad
+
+    def test_nan_pixel_leaves_pretrain_state_unchanged(self):
+        model = MIMPretrainModel(tiny_config(), Rng(13), mask_spec=MaskSpec(16, 0.5))
+        opt = AdamW(dict(model.named_params()))
+        images, bad = self.nan_images()
+        masks = [generate_mask(model.mask_spec, 64, Rng(9).child(j)) for j in range(2)]
+        assert np.isfinite(pretrain_step(Tensor(images), masks, model, opt, 1e-3))
+        before = optimizer_state(opt)
+        assert math.isnan(pretrain_step(Tensor(bad), masks, model, opt, 1e-3))
+        assert optimizer_state(opt) == before
+        assert all(p.grad is None for p in opt.params.values())
+
+    def test_nan_pixel_leaves_finetune_state_unchanged(self):
+        model = SwinClassifier(tiny_config(), Rng(13))
+        opt = AdamW(dict(model.named_params()))
+        images, bad = self.nan_images()
+        labels = np.eye(10, dtype=np.float32)[[2, 7]]
+
+        def step(x):
+            return train_step(lambda: soft_cross_entropy(model(Tensor(x), training=True),
+                                                         labels), opt, 1e-3)
+
+        assert np.isfinite(step(images))
+        before = optimizer_state(opt)
+        assert math.isnan(step(bad))
+        assert optimizer_state(opt) == before
+        assert all(p.grad is None for p in opt.params.values())
+
+
+class TestStepHooks:
+    """Both loops step through module globals that perfbench's tiny-pipeline
+    timer and the tests patch: run_pretrain calls train.pretrain_step, and
+    every step of either loop runs train.train_step, once per batch."""
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls, original = [], getattr(train_mod, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, name, counted)
+        return calls
+
+    def test_pretrain_steps_through_pretrain_step_and_train_step(self, tmp_path, monkeypatch):
+        index = micro_dataset(tmp_path)
+        outer, inner = self.spy(monkeypatch, "pretrain_step"), self.spy(monkeypatch, "train_step")
+        run_pretrain(desk_config(), index, tmp_path / "run", seed=0)
+        assert len(outer) == len(inner) == 2 * -(-len(index) // 8) == 6
+
+    def test_finetune_steps_through_train_step(self, tmp_path, monkeypatch):
+        index = micro_dataset(tmp_path, per_class=3)
+        train_idx, eval_idx = split_dataset(index, 0.7, seed=0)
+        calls = self.spy(monkeypatch, "train_step")
+        run_finetune(desk_config(), train_idx, eval_idx, tmp_path / "ft", seed=0)
+        assert len(calls) == 2 * -(-len(train_idx) // 8) > 2
 
 
 class TestDropPath:
