@@ -63,8 +63,14 @@ def _read_token(buf, pos, path):
     return buf[start:pos], pos
 
 
-def load_ppm(path):
-    """Decode a binary PPM file to a float32 [H, W, 3] array in [0, 1]."""
+def load_ppm(path, size=None):
+    """Decode a binary PPM file to a float32 [H, W, 3] array in [0, 1].
+
+    With `size`, decode straight to [size, size, 3]: the bilinear taps of
+    resize_bilinear are gathered from the file's uint8 raster and only they
+    are converted, which gives resize_bilinear(load_ppm(path), size, size)
+    bit for bit.
+    """
     with open(path, "rb") as f:
         buf = f.read()
     if buf[:2] != b"P6":
@@ -81,13 +87,22 @@ def load_ppm(path):
         raise DecodeError(path, pos - len(str(maxval)), f"maxval {maxval} unsupported, need 255")
     if width == 0 or height == 0:
         raise DecodeError(path, pos, f"empty image: {width}x{height}")
-    pos += 1  # single whitespace byte separates header from raster
+    sep = buf[pos:pos + 1]
+    if sep and not sep.isspace():
+        raise DecodeError(path, pos, f"expected one whitespace byte after maxval, got {sep!r}")
+    pos += 1
     need = width * height * 3
-    raster = buf[pos:pos + need]
-    if len(raster) < need:
-        raise DecodeError(path, pos + len(raster), f"raster truncated: {len(raster)}/{need} bytes")
-    img = np.frombuffer(raster, dtype=np.uint8, count=need).reshape(height, width, 3)
-    return img.astype(np.float32) / 255.0
+    have = min(need, max(0, len(buf) - pos))
+    if have < need:
+        raise DecodeError(path, pos + have, f"raster truncated: {have}/{need} bytes")
+    raster = np.frombuffer(buf, dtype=np.uint8, count=need, offset=pos).reshape(height, width, 3)
+    if size is None or (height, width) == (size, size):
+        return _to_unit(raster)
+    return _bilinear(raster, size, size, True, _to_unit)
+
+
+def _to_unit(raster):
+    return raster.astype(np.float32) / 255.0
 
 
 def save_ppm(path, img):
@@ -114,14 +129,26 @@ def resize_bilinear(img, target_h, target_w, half_pixel=True):
     usual image-resize convention; half_pixel=False uses the top-left
     aligned mapping i * scale (used by the scaling augmentation).
     """
-    if target_h < 1 or target_w < 1:
-        raise ValueError("target extents must be positive")
     img = np.asarray(img)
     h, w = img.shape[:2]
     if h < 1 or w < 1:
         raise ValueError(f"source extents must be positive, got {h}x{w}")
     if (h, w) == (target_h, target_w):
         return img.copy()
+    return _bilinear(img, target_h, target_w, half_pixel)
+
+
+def _bilinear(img, target_h, target_w, half_pixel, convert=np.asarray):
+    """resize_bilinear's taps and blend; `convert` maps each gathered tap.
+
+    The taps' rows are gathered once, then their columns (np.take, which
+    keeps every tap, and so the result, C-contiguous). Fractions take the
+    taps' float dtype (float64 for integer taps), so converting a uint8 tap
+    here blends exactly as converting the whole image first would.
+    """
+    if target_h < 1 or target_w < 1:
+        raise ValueError("target extents must be positive")
+    h, w = img.shape[:2]
 
     def grid(n_in, n_out):
         scale = n_in / n_out
@@ -130,17 +157,22 @@ def resize_bilinear(img, target_h, target_w, half_pixel=True):
         else:
             src = np.arange(n_out) * scale
         lo = np.floor(src).astype(np.int64)
-        frac = src - lo
-        lo0 = np.clip(lo, 0, n_in - 1)
-        lo1 = np.clip(lo + 1, 0, n_in - 1)
-        return lo0, lo1, frac.astype(img.dtype if img.dtype.kind == "f" else np.float64)
+        return np.clip(lo, 0, n_in - 1), np.clip(lo + 1, 0, n_in - 1), src - lo
 
     y0, y1, fy = grid(h, target_h)
     x0, x1, fx = grid(w, target_w)
+
+    def taps(y):
+        rows = np.take(img, y, axis=0)
+        return convert(np.take(rows, x0, axis=1)), convert(np.take(rows, x1, axis=1))
+
+    (top_left, top_right), (bot_left, bot_right) = taps(y0), taps(y1)
+    ftype = top_left.dtype if top_left.dtype.kind == "f" else np.float64
+    fy, fx = fy.astype(ftype), fx.astype(ftype)
     fy = fy[:, None, None] if img.ndim == 3 else fy[:, None]
     fx = fx[None, :, None] if img.ndim == 3 else fx[None, :]
-    top = img[y0][:, x0] * (1 - fx) + img[y0][:, x1] * fx
-    bot = img[y1][:, x0] * (1 - fx) + img[y1][:, x1] * fx
+    top = top_left * (1 - fx) + top_right * fx
+    bot = bot_left * (1 - fx) + bot_right * fx
     return top * (1 - fy) + bot * fy
 
 
@@ -258,10 +290,7 @@ class ImageCache:
     def get(self, path):
         img = self._store.get(path)
         if img is None:
-            img = load_ppm(path)
-            if img.shape[:2] != (self.img_size, self.img_size):
-                img = resize_bilinear(img, self.img_size, self.img_size)
-            img = np.ascontiguousarray(img, dtype=np.float32)
+            img = load_ppm(path, self.img_size)
             if self._nbytes + img.nbytes <= _CACHE_BUDGET:
                 self._store[path] = img
                 self._nbytes += img.nbytes

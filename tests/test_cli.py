@@ -212,6 +212,18 @@ class TestPretrainCommand:
         assert err.startswith("error:") and "empty.ppm" in err
         assert len(err.splitlines()) == 1
 
+    def test_raster_after_a_comment_exit_2(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        for c in range(10):
+            (root / f"c{c}").mkdir(parents=True)
+        (root / "c0" / "shifted.ppm").write_bytes(b"P6\n1 1\n255#\n" + bytes([10, 20, 30]))
+        code = main(["pretrain", "--config", os.path.join(REPO, "configs", "tiny.json"),
+                     "--data", str(root), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "shifted.ppm @ byte 10" in err
+        assert len(err.splitlines()) == 1
+
     def test_zero_ratio_override_exit_2(self, tiny_config_path, micro_root, tmp_path,
                                         capsys):
         code = main(["pretrain", "--config", tiny_config_path, "--data", micro_root,

@@ -80,6 +80,14 @@ class TestPpmCodec:
         img = load_ppm(p)
         assert np.allclose(img[0, 0], np.array([1, 2, 3]) / 255.0)
 
+    def test_raster_must_follow_one_whitespace_byte(self, tmp_path):
+        # a byte after maxval that is not whitespace would shift the raster
+        p = tmp_path / "s.ppm"
+        p.write_bytes(b"P6\n1 1\n255#\n" + bytes([10, 20, 30]))
+        with pytest.raises(DecodeError, match="whitespace") as e:
+            load_ppm(p)
+        assert e.value.offset == 10
+
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
         img = (rng.integers(0, 256, size=(9, 7, 3)) / 255.0).astype(np.float32)
@@ -108,6 +116,32 @@ class TestResize:
         row = np.array([0.0, 1.0]).reshape(1, 2, 1)
         out = resize_bilinear(row, 1, 4)
         assert np.allclose(out.ravel(), [0.0, 0.25, 0.75, 1.0])
+
+    def test_top_left_hand_values(self):
+        # half_pixel=False (the scaling augmentation) maps output i to i * scale
+        row = np.array([0.0, 1.0]).reshape(1, 2, 1)
+        out = resize_bilinear(row, 1, 4, half_pixel=False)
+        assert out.ravel().tolist() == [0.0, 0.5, 1.0, 1.0]
+
+    def test_single_channel_hand_values(self):
+        img = np.array([[0.0, 2.0], [4.0, 6.0]], np.float32)
+        out = resize_bilinear(img, 4, 4)
+        assert out.dtype == np.float32
+        assert out.tolist() == [[0.0, 0.5, 1.5, 2.0],
+                                [1.0, 1.5, 2.5, 3.0],
+                                [3.0, 3.5, 4.5, 5.0],
+                                [4.0, 4.5, 5.5, 6.0]]
+        out = resize_bilinear(img, 4, 1, half_pixel=False)
+        assert out.tolist() == [[0.0], [2.0], [4.0], [4.0]]
+
+    @pytest.mark.parametrize("dtype, out_dtype", [
+        (np.uint8, np.float64), (np.int64, np.float64), (np.float16, np.float16),
+        (np.float32, np.float32), (np.float64, np.float64)])
+    def test_blend_dtype_follows_float_input(self, dtype, out_dtype):
+        img = np.array([[0, 2], [4, 6]], dtype)
+        out = resize_bilinear(img, 4, 4)
+        assert out.dtype == out_dtype
+        assert out[1].tolist() == [1.0, 1.5, 2.5, 3.0]
 
     def test_downscale_shape(self):
         img = np.random.default_rng(2).uniform(size=(64, 64, 3)).astype(np.float32)
@@ -240,6 +274,50 @@ class TestImageCache:
             fresh = resize_bilinear(load_ppm(path), 32, 32).astype(np.float32)
             assert img.dtype == np.float32 and img.tobytes() == fresh.tobytes()
         assert list(cache._store) == paths[:2]
+
+
+def _write_random_ppm(path, h, w, seed):
+    raster = np.random.default_rng(seed).integers(0, 256, (h, w, 3), dtype=np.uint8)
+    path.write_bytes(b"P6\n%d %d\n255\n" % (w, h) + raster.tobytes())
+    return path
+
+
+@pytest.fixture(scope="module")
+def source_ppms(tmp_path_factory):
+    """Frames of the driver set's extent and smaller, odd and one-row ones."""
+    root = tmp_path_factory.mktemp("sources")
+    extents = [(480, 640), (37, 53), (300, 200), (64, 64), (1, 7)]
+    return {hw: _write_random_ppm(root / f"{hw[0]}x{hw[1]}.ppm", *hw, seed=i)
+            for i, hw in enumerate(extents)}
+
+
+class TestDecodeToSize:
+    @pytest.mark.parametrize("size", [1, 8, 37, 64, 192, 224])
+    @pytest.mark.parametrize("extent", [(480, 640), (37, 53), (300, 200), (64, 64), (1, 7)])
+    def test_bytes_of_decode_then_resize(self, source_ppms, extent, size):
+        path = source_ppms[extent]
+        reference = np.ascontiguousarray(resize_bilinear(load_ppm(path), size, size),
+                                         np.float32)
+        img = ImageCache(size).get(path)
+        assert img.dtype == np.float32 and img.flags.c_contiguous
+        assert img.shape == (size, size, 3) and img.tobytes() == reference.tobytes()
+
+    def test_cache_miss_decodes_once_and_never_resizes(self, source_ppms, monkeypatch):
+        calls = []
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(data_mod, name, wrapper)
+
+        spy("load_ppm", data_mod.load_ppm)
+        spy("resize_bilinear", data_mod.resize_bilinear)
+        cache = ImageCache(64)
+        path = source_ppms[(480, 640)]
+        cache.get(path)
+        cache.get(path)
+        assert calls == ["load_ppm"]
 
 
 class TestBuildIndex:
