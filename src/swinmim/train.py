@@ -6,9 +6,13 @@ pretraining and 10-class fine-tuning (optionally warm-started from a
 pretraining checkpoint, with relative position bias tables resampled when
 the window size changed between phases). A step whose loss is not finite
 updates nothing. Checkpoints use a little-endian binary format that
-round-trips parameters bitwise, so interrupted runs resume exactly.
+round-trips parameters bitwise, so interrupted runs resume exactly. A
+loaded checkpoint's arrays are read-only views of the file's bytes, which
+a resume, eval or warm start copies once into the model and optimizer;
+every checkpoint fault raises CheckpointError.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -115,14 +119,10 @@ class AdamW:
 
     def state_tensors(self):
         """Moment buffers as checkpoint tensors."""
-        out = {}
-        for name in self.params:
-            out[f"optim.m.{name}"] = self.m[name]
-            out[f"optim.v.{name}"] = self.v[name]
-        return out
+        return {f"optim.{k}.{name}": getattr(self, k)[name] for name in self.params for k in "mv"}
 
     def load_state_tensors(self, tensors, step_count):
-        for name in self.params:
+        for name in self.params:  # writeable copies: loaded arrays are read-only views
             self.m[name] = tensors[f"optim.m.{name}"].copy()
             self.v[name] = tensors[f"optim.v.{name}"].copy()
         self.step_count = int(step_count)
@@ -259,27 +259,10 @@ def evaluate(model, index, run_cfg, cache=None):
 
 
 class CheckpointError(Exception):
-    pass
+    """Any checkpoint fault; the message names the file and offset, or the tensor."""
 
 
-class CheckpointMagicError(CheckpointError):
-    pass
-
-
-class CheckpointVersionError(CheckpointError):
-    pass
-
-
-class CheckpointTruncatedError(CheckpointError):
-    pass
-
-
-class CheckpointNameError(CheckpointError):
-    pass
-
-
-_DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))  # indexed by dtype tag
 
 
 def save_checkpoint(path, meta, tensors):
@@ -288,81 +271,76 @@ def save_checkpoint(path, meta, tensors):
     Layout (little-endian): magic "SLDB", version u32, meta blob
     (u64 length + UTF-8 JSON), tensor count u32, then per tensor:
     name (u64 length + UTF-8), dtype tag u8 (0=f32, 1=f64), rank u32,
-    dims u64 x rank, raw element bytes.
+    dims u64 x rank, raw element bytes. The file appears under its name
+    only once whole; a failed write removes its temporary file.
     """
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        f.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors.items():
-            arr = np.asarray(arr)
-            if arr.dtype not in _DTYPE_TAGS:
-                raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<Q", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", _DTYPE_TAGS[arr.dtype]))
-            f.write(struct.pack("<I", arr.ndim))
-            for d in arr.shape:
-                f.write(struct.pack("<Q", d))
-            f.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
-    os.replace(tmp, path)
-
-
-class _Reader:
-    def __init__(self, path):
-        with open(path, "rb") as f:
-            self.buf = f.read()
-        self.pos = 0
-        self.path = str(path)
-
-    def take(self, n):
-        if self.pos + n > len(self.buf):
-            raise CheckpointTruncatedError(
-                f"{self.path}: truncated at byte {self.pos} (need {n} more)"
-            )
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self):
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self):
-        return struct.unpack("<Q", self.take(8))[0]
+    try:
+        with open(tmp, "wb") as f:
+            f.write(struct.pack(f"<4sIQ{len(blob)}sI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                len(blob), blob, len(tensors)))
+            for name, arr in tensors.items():
+                arr = np.asarray(arr)
+                dtype = arr.dtype.newbyteorder("<")
+                if dtype not in _DTYPES:
+                    raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
+                encoded = name.encode("utf-8")
+                f.write(struct.pack(f"<Q{len(encoded)}sBI{arr.ndim}Q", len(encoded), encoded,
+                                    _DTYPES.index(dtype), arr.ndim, *arr.shape))
+                f.write(np.ascontiguousarray(arr, dtype).data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (meta dict, {name: ndarray})."""
-    r = _Reader(path)
-    magic = r.take(4)
+    """Read a checkpoint; returns (meta dict, {name: ndarray}).
+
+    The file is read once and each array is a read-only view of its bytes,
+    so whatever keeps one copies it. A bad magic or version, a record past
+    the end or bytes after the last tensor raise CheckpointError.
+    """
+    with open(path, "rb") as f:
+        buf = memoryview(f.read())
+    pos = 0
+
+    def read(size):
+        """The next size bytes of the file, as a view."""
+        nonlocal pos
+        if size > len(buf) - pos:
+            raise CheckpointError(f"{path}: truncated at byte {pos} (need {size} more)")
+        pos += size
+        return buf[pos - size:pos]
+
+    def take(fmt):
+        return struct.unpack(fmt, read(struct.calcsize(fmt)))
+
+    magic, = take("<4s")
     if magic != CHECKPOINT_MAGIC:
-        raise CheckpointMagicError(f"{path}: bad magic {magic!r}")
-    version = r.u32()
+        raise CheckpointError(f"{path}: bad magic {magic!r}")
+    version, = take("<I")
     if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(f"{path}: unsupported version {version}")
-    meta = json.loads(r.take(r.u64()).decode("utf-8"))
+        raise CheckpointError(f"{path}: unsupported version {version}")
+    meta = json.loads(str(read(take("<Q")[0]), "utf-8"))
     if not isinstance(meta, dict):
         raise CheckpointError(f"{path}: metadata is not a JSON object")
     tensors = {}
-    for _ in range(r.u32()):
-        name = r.take(r.u64()).decode("utf-8")
-        tag = r.u8()
-        if tag not in _TAG_DTYPES:
+    for _ in range(take("<I")[0]):
+        name = str(read(take("<Q")[0]), "utf-8")
+        tag, rank = take("<BI")
+        if tag >= len(_DTYPES):
             raise CheckpointError(f"{path}: unknown dtype tag {tag} for {name!r}")
-        rank = r.u32()
-        shape = tuple(r.u64() for _ in range(rank))
-        dtype = _TAG_DTYPES[tag]
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = r.take(count * dtype.itemsize)
-        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        shape = take(f"<{rank}Q")
+        data = np.frombuffer(read(math.prod(shape) * _DTYPES[tag].itemsize), _DTYPES[tag])
+        try:
+            tensors[name] = data.reshape(shape)
+        except ValueError as e:  # an empty tensor with a dim numpy cannot hold
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {shape}: {e}") from None
+    if pos != len(buf):
+        raise CheckpointError(f"{path}: {len(buf) - pos} bytes after the last tensor at {pos}")
     return meta, tensors
 
 
@@ -390,16 +368,15 @@ def restore_model_state(model, tensors):
     for name, param in model.named_params():
         names.add(name)
         if name not in tensors:
-            raise CheckpointNameError(f"checkpoint is missing tensor {name!r}")
+            raise CheckpointError(f"checkpoint is missing tensor {name!r}")
         arr = tensors[name]
         if arr.shape != param.data.shape:
-            raise CheckpointNameError(
-                f"tensor {name!r} shape {arr.shape} != model shape {param.data.shape}"
-            )
-        param.data = arr.astype(param.data.dtype)  # a copy, whatever the dtype
+            raise CheckpointError(f"tensor {name!r} shape {arr.shape} != model shape "
+                                  f"{param.data.shape}")
+        param.data = arr.astype(param.data.dtype)  # a writeable copy of the view
     unknown = [n for n in tensors if n not in names and not n.startswith("optim.")]
     if unknown:
-        raise CheckpointNameError(f"checkpoint holds unknown tensors: {sorted(unknown)}")
+        raise CheckpointError(f"checkpoint holds unknown tensors: {sorted(unknown)}")
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +447,7 @@ def load_pretrained_encoder(model, tensors):
             continue
         arr = tensors[name]
         if arr.shape == param.data.shape:
-            param.data = arr.astype(param.data.dtype)  # a copy, whatever the dtype
+            param.data = arr.astype(param.data.dtype)  # a writeable copy of the view
             report["loaded"].append(name)
         elif name.endswith("attn.bias_table") and arr.shape[1] == param.data.shape[1]:
             old_window = (int(round(math.sqrt(arr.shape[0]))) + 1) // 2
@@ -480,9 +457,7 @@ def load_pretrained_encoder(model, tensors):
         else:
             mismatched.append(name)
     if mismatched:
-        raise CheckpointNameError(
-            f"checkpoint/config mismatch for tensors: {sorted(mismatched)}"
-        )
+        raise CheckpointError(f"checkpoint/config mismatch for tensors: {sorted(mismatched)}")
     return report
 
 
